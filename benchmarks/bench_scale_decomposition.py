@@ -1,10 +1,11 @@
-"""Scale gate: tiered distance backends + cluster-decomposed solving.
+"""Scale gate: lazy distance rows + cluster-decomposed solving.
 
 Three measurements back ROADMAP item 3 ("10k nodes without the dense
 O(|V|²) wall") and are written to one ``BENCH_scale_decomposition.json``:
 
 1. **Backend tiers** — wall time and tracemalloc peak of building the dense
-   all-pairs matrix vs. priming a :class:`LazyRowBackend` with exactly the
+   all-pairs matrix (the parity oracle of ``tests/oracles/dense.py``) vs.
+   priming a :class:`LazyRowBackend` with exactly the
    rows a solve consults (cache nodes + pinned holders + requesters), on
    PoP/core/edge hierarchies of growing size.  Gate: at the largest size
    the lazy build peaks below 10% of the dense peak, and the primed rows
@@ -40,12 +41,12 @@ from repro.core.context import relevant_sources
 from repro.graph import (
     CacheNetwork,
     LazyRowBackend,
-    build_distance_matrix,
     deltacom,
     pop_core_edge_hierarchy,
     tinet,
 )
 from repro.experiments import format_sweep
+from tests.oracles.dense import build_distance_matrix
 
 #: Documented decomposition bound (also asserted in tests/core/test_decomposed.py).
 GAP_BOUND = 0.20

@@ -4,19 +4,22 @@ Backs the last open bullet of ROADMAP item 3 ("robustness at 10k nodes"):
 the whole failure stack — degraded-context derivation, recovery, timeline
 replay, chaos — must run on :class:`~repro.graph.backends.LazyRowBackend`
 contexts without ever materializing the dense O(|V|²) matrix, and must
-stay bit-identical to the dense tier where both exist.  Four measurements
+stay bit-identical to the recorded dense-tier outputs.  Four measurements
 land in one ``BENCH_scale_resilience.json``:
 
 1. **Scaled timeline replay** — a 100+-event seeded failure timeline on a
    PoP/core/edge hierarchy replays through the controller on a lazy
    context with cluster-local re-optimization.  Gate: at sizes ≥ 5000 the
    tracemalloc peak of (context build + full replay) stays below 10% of
-   :func:`~repro.graph.distance_matrix.estimate_dense_bytes` for the same
-   node count; the replay wall-clock is recorded alongside.
-2. **Dense/lazy replay parity** — on embedded mid-size ISP topologies the
-   same timeline replayed on a dense context and on a lazy context yields
-   equal :class:`~repro.robustness.controller.TimelineReport`'s (dataclass
-   equality already excludes wall-clock).  Gate: parity on every topology.
+   the dense all-pairs estimate for the same node count (16·n² bytes: the
+   ``float64`` matrix plus scipy's working copy); the replay wall-clock is
+   recorded alongside.
+2. **Golden replay parity** — on embedded mid-size ISP topologies the
+   :class:`~repro.robustness.controller.TimelineReport` of a seeded
+   timeline equals the one recorded on the dense tier
+   (``tests/oracles/golden_parity.json``; compared fields are the ones
+   dataclass equality uses, so wall-clock is excluded).  Gate: parity on
+   every topology.
 3. **Chaos at scale** — a seeded :func:`~repro.robustness.chaos.
    run_scale_chaos` campaign on ≥1k-node hierarchies with the full
    invariant checker.  Gate: zero violations.
@@ -38,31 +41,32 @@ import tracemalloc
 import numpy as np
 
 from repro.core import (
-    ProblemInstance,
     partition_graph,
-    pin_full_catalog,
     touched_clusters,
 )
 from repro.core.context import SolverContext
-from repro.graph import CacheNetwork, abovenet, tinet
-from repro.graph.distance_matrix import estimate_dense_bytes
 from repro.experiments import format_sweep
 from repro.robustness import (
     FailureScenario,
     RecoveryPolicy,
     ScaleChaosConfig,
-    TimelineConfig,
     apply_failure,
-    canonical_links,
     cluster_local_recover,
     degraded_context,
-    generate_timeline,
     hierarchy_problem,
     recover,
     replay_timeline,
     run_scale_chaos,
 )
 from repro.robustness.chaos import random_placement
+from tests.oracles.golden import (
+    PARITY_TOPOLOGIES,
+    canonical,
+    load_golden,
+    midsize_problem,
+    timeline_report,
+)
+from tests.oracles.golden import event_timeline as _event_timeline
 
 #: Acceptance: lazy replay peaks below this fraction of the dense estimate.
 LAZY_PEAK_FRACTION = 0.10
@@ -88,48 +92,6 @@ def _traced(fn, *args):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return value, seconds, peak
-
-
-def _event_timeline(problem, *, horizon: float, target_events: int, seed: int):
-    """A seeded timeline regenerated (halving MTBF) until dense enough."""
-    links = canonical_links(problem)
-    link_mtbf = max(1.0, len(links) * horizon / max(1, target_events))
-    for _ in range(8):
-        timeline = generate_timeline(
-            problem,
-            TimelineConfig(
-                horizon=horizon,
-                link_mtbf=link_mtbf,
-                link_mttr=horizon / 12.0,
-                node_mtbf=4.0 * link_mtbf,
-                node_mttr=horizon / 8.0,
-                flap_probability=0.2,
-                flap_mttr=0.05,
-            ),
-            seed=seed,
-            name=f"scale:{seed}",
-        )
-        if len(timeline) >= target_events:
-            return timeline
-        link_mtbf /= 2.0
-    return timeline
-
-
-def _midsize_problem(factory, seed: int) -> ProblemInstance:
-    net = factory()
-    nodes = list(net.nodes)
-    rng = np.random.default_rng(seed)
-    items = [f"it{k}" for k in range(5)]
-    demand = {}
-    for it in items:
-        for s in rng.choice(len(nodes), size=min(8, len(nodes)), replace=False):
-            demand[(it, nodes[int(s)])] = round(float(rng.uniform(0.5, 2.0)), 3)
-    return ProblemInstance(
-        network=CacheNetwork(net.graph, {v: 2.0 for v in nodes}),
-        catalog=tuple(items),
-        demand=demand,
-        pinned=pin_full_catalog(items, [nodes[0]]),
-    )
 
 
 def test_scale_resilience(benchmark, report, bench_json):
@@ -164,7 +126,7 @@ def test_scale_resilience(benchmark, report, bench_json):
                 )
 
             rep, seconds, peak = _traced(lazy_replay)
-            dense_bytes = estimate_dense_bytes(problem.network.num_nodes)
+            dense_bytes = 16 * problem.network.num_nodes**2
             replay_rows.append(
                 {
                     "nodes": problem.network.num_nodes,
@@ -178,28 +140,19 @@ def test_scale_resilience(benchmark, report, bench_json):
                 }
             )
 
-        # -- 2. dense/lazy replay parity on embedded topologies --------
+        # -- 2. golden replay parity on embedded topologies ------------
+        golden = load_golden()["timeline"]
         parity_rows = []
-        for name, factory in [("abovenet", abovenet), ("tinet", tinet)]:
-            prob = _midsize_problem(factory, seed=3)
-            rng = np.random.default_rng(4)
-            placement = random_placement(rng, prob)
-            timeline = _event_timeline(
-                prob, horizon=30.0, target_events=25, seed=11
-            )
-            policy = RecoveryPolicy(detection_delay=0.2)
-            reports = {}
-            for tier in ("dense", "lazy"):
-                ctx = SolverContext.from_problem(prob, backend=tier)
-                reports[tier] = replay_timeline(
-                    prob, placement.copy(), timeline, policy, context=ctx
-                )
+        for name in sorted(PARITY_TOPOLOGIES):
+            rep = timeline_report(name)
             parity_rows.append(
                 {
                     "topology": name,
-                    "nodes": prob.network.num_nodes,
-                    "events": reports["dense"].events,
-                    "reports_equal": reports["dense"] == reports["lazy"],
+                    "nodes": midsize_problem(
+                        PARITY_TOPOLOGIES[name], seed=3
+                    ).network.num_nodes,
+                    "events": rep.events,
+                    "reports_equal": canonical(rep) == golden[name],
                 }
             )
 
@@ -268,7 +221,7 @@ def test_scale_resilience(benchmark, report, bench_json):
         + format_sweep(
             parity_rows,
             list(parity_rows[0]),
-            title="Dense vs lazy TimelineReport parity (mid-size topologies)",
+            title="TimelineReport vs golden dense-tier recording (mid-size topologies)",
         )
         + "\n\n"
         + format_sweep(

@@ -261,7 +261,7 @@ def algorithm1(
     so Theorem 4.4's (1 - 1/e) guarantee is preserved.
 
     Pass a :class:`~repro.core.context.SolverContext` to take every pairwise
-    cost from the dense distance matrix (shared with the polish and the RNR
+    cost from its distance rows (shared with the polish and the RNR
     routing step) instead of running memoized Dijkstras on demand.
     ``assembly`` selects how LP (7) is built: ``"array"`` (COO batches, the
     fast default) or ``"dict"`` (keyed rows); both produce bit-identical LPs.

@@ -20,7 +20,7 @@ of the caching literature:
    A cluster-level super-topology is also exposed for diagnostics
    (:func:`super_topology`).
 3. **Solve** each cluster's sub-instance with the exact Algorithm 1 —
-   small dense contexts, the LP (7) machinery unchanged — in parallel
+   small contexts, the LP (7) machinery unchanged — in parallel
    across a process pool (:func:`decomposed_solve`), then **compose**: the
    per-cluster placements union into a feasible global placement (clusters
    own disjoint cache nodes), and the global routing is plain RNR over the
@@ -406,8 +406,8 @@ def decomposed_solve(
     real topology under the composed placement.
 
     ``context`` carries the global routing context; by default one is
-    built with :meth:`SolverContext.from_problem` (lazy row tier above the
-    dense threshold — only holder rows are ever materialized).
+    built over the partition's holder-row backend, so only the rows routing
+    reads are ever materialized.
     """
     t_start = time.perf_counter()
     partition = partition_graph(problem.network, n_clusters, seed=seed)
@@ -617,8 +617,8 @@ def resolve_clusters(
     components keep serving from whatever replicas they still hold; also
     the fallback when a cluster solve turns out infeasible).
 
-    ``context`` supplies the holder distance rows on either backend tier
-    (``rows_of`` over the pinned holders); without one a throwaway
+    ``context`` supplies the holder distance rows (``rows_of`` over the
+    pinned holders); without one a throwaway
     :class:`LazyRowBackend` computes exactly those rows.  ``parallel``
     solves the named clusters in a process pool with the same serial
     fallback as :func:`decomposed_solve`.

@@ -23,11 +23,9 @@ from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement, Routing
 from repro.exceptions import InfeasibleError
 from repro.flow.decomposition import PathFlow
-from repro.graph.distance_matrix import HAVE_SCIPY, _sparse_adjacency
-from repro.graph.network import COST
 from repro.graph.shortest_paths import reconstruct_path, single_source_dijkstra
 
-if TYPE_CHECKING:  # avoid a module cycle; context imports ShortestPathCache
+if TYPE_CHECKING:  # avoid a module cycle; context imports PredecessorPathCache
     from repro.core.context import SolverContext
 
 Node = Hashable
@@ -61,20 +59,19 @@ class ShortestPathCache:
 class PredecessorPathCache:
     """Path reconstruction from per-source scipy predecessor trees.
 
-    Dense-context RNR only needs actual node paths for holders that serve
-    flow, and a failure sweep asks for paths out of many sources on many
-    degraded graphs.  This oracle runs one
+    Context RNR only needs actual node paths for holders that serve flow,
+    and a failure sweep asks for paths out of many sources on many degraded
+    graphs.  This oracle runs one
     ``scipy.sparse.csgraph.dijkstra(..., return_predecessors=True)`` per
     serving source (memoized) and backtracks the predecessor array, which is
-    far cheaper than a pure-python Dijkstra per source.  Requires scipy;
-    callers fall back to :class:`ShortestPathCache` without it.
+    far cheaper than a pure-python Dijkstra per source.  ``csgraph`` is the
+    CSR adjacency of a :class:`~repro.graph.backends.LazyRowBackend` over
+    ``nodes`` — the context shares its backend's, so no second copy is built.
     """
 
-    def __init__(self, graph, nodes: tuple[Node, ...], index: dict[Node, int]) -> None:
+    def __init__(self, csgraph, nodes: tuple[Node, ...]) -> None:
         self._nodes = nodes
-        # O(|V| + |E|) CSR adjacency, structurally identical to the dense
-        # conversion it replaced — predecessors and paths are unchanged.
-        self._csgraph = _sparse_adjacency(graph, nodes, index, COST)
+        self._csgraph = csgraph
         self._pred: dict[int, np.ndarray] = {}
         self._paths: dict[tuple[int, int], tuple[Node, ...]] = {}
 
@@ -121,11 +118,10 @@ def route_to_nearest_replica(
     """RNR routing for every request under the given placement.
 
     With a :class:`~repro.core.context.SolverContext`, holder distances come
-    from the dense all-pairs matrix (O(1) per lookup, no Dijkstra per
-    holder) and paths are reconstructed from memoized scipy predecessor
-    trees (:class:`PredecessorPathCache`; the context's dict-based cache
-    without scipy), so serving costs are unchanged while a failure sweep
-    stops paying a pure-python Dijkstra per serving holder.
+    from the context's distance rows (no Dijkstra per holder lookup) and
+    paths are reconstructed from memoized scipy predecessor trees
+    (:class:`PredecessorPathCache`), so serving costs are unchanged while a
+    failure sweep stops paying a pure-python Dijkstra per serving holder.
 
     ``on_unservable`` controls what happens when a request cannot be fully
     covered by reachable holders (including pinned contents):
@@ -195,7 +191,7 @@ def _route_with_context(
     context: "SolverContext",
     on_unservable: str,
 ) -> Routing:
-    """Dense-matrix RNR: vectorized candidate ordering, predecessor paths.
+    """Context RNR: vectorized candidate ordering, predecessor paths.
 
     Semantics match the dict-based branch: candidates are served in
     ``(distance, repr(holder))`` order (holders pre-sorted by ``repr`` plus a
@@ -206,7 +202,7 @@ def _route_with_context(
     cost) shortest path under ties.
     """
     nidx = context.node_index
-    oracle = context.path_oracle if HAVE_SCIPY else None
+    oracle = context.path_oracle
     routing = Routing()
     # Group requesters per item so the cached per-item state holds only the
     # distance columns demand actually reads — O(holders × requesters), not
@@ -263,10 +259,7 @@ def _route_with_context(
                 take = min(fracs[k], remaining)
                 if take <= _EPS:
                     continue
-                if oracle is not None:
-                    path = oracle.path_by_index(int(hidx[k]), r)
-                else:
-                    path = context.sp.path(holders[k], requester)
+                path = oracle.path_by_index(int(hidx[k]), r)
                 paths.append(PathFlow(path=path, amount=take))
                 remaining -= take
         if remaining > 1e-6 and on_unservable == "raise":

@@ -1,65 +1,51 @@
-"""Tiered distance backends: dense all-pairs vs. lazily-computed rows.
+"""Lazily computed distance rows: the one distance store every solver reads.
 
-Every Section 4 solver consumes the distance structure through a handful of
-row-oriented operations — a single ``d(source, target)`` lookup, one full
-row ``d(source, ·)``, a stack of rows for a holder set, and two reductions
-(finite max over rows, elementwise min over holder rows).  The
-:class:`DistanceBackend` protocol names exactly those operations, and
-:class:`~repro.core.context.SolverContext` routes every distance access
-through it, so the same solver code runs against either tier:
+Every Section 4 solver consumes the least costs ``w_{v->s}`` through a
+handful of row-oriented operations — a single ``d(source, target)``
+lookup, one full row ``d(source, ·)``, a stack of rows for a holder set,
+and two reductions (finite max over rows, the global bound ``w_max``).
+:class:`LazyRowBackend` provides exactly those: it computes **only the rows
+actually consulted** (cache nodes, pinned holders, requesters) with a
+batched ``scipy.sparse.csgraph.dijkstra`` over one CSR adjacency, memoizes
+them, and never materializes the O(|V|²) matrix.  Priming every row gives
+the all-pairs matrix row by row; the rows are bit-identical to a dense
+all-pairs sweep over the same CSR (asserted against the dense oracle in
+``tests/graph/test_backends.py``).
 
-- :class:`DenseBackend` wraps the existing
-  :class:`~repro.graph.distance_matrix.DistanceMatrix` — one O(|V|²)
-  Dijkstra sweep up front, O(1) row views afterwards.  Right below a few
-  thousand nodes, fatal above (an 80k-node matrix is 51 GiB).
-- :class:`LazyRowBackend` computes **only the rows actually consulted**
-  (cache nodes, pinned holders, requesters) on demand, memoizes them, and
-  never materializes the matrix.  Rows are produced by the same batched
-  scipy Dijkstra that :func:`repro.graph.distance_matrix.repair_distance_
-  matrix` uses for partial repairs, over the same CSR adjacency — so every
-  row is **bit-identical** to the corresponding row of a dense build
-  (asserted in ``tests/graph/test_backends.py``).
-
-A lazy backend's materialized rows can be exported once into shared memory
+A backend's materialized rows can be exported once into shared memory
 (:meth:`LazyRowBackend.row_store` + :class:`repro.graph.shm.RowsBroadcast`)
-and attached zero-copy by pool workers, preserving the broadcast discipline
-the dense matrix already enjoys — workers start with the scope rows mapped
-read-only and fall back to local computation only for rows outside the
-store.
+and attached zero-copy by pool workers — workers start with the scope rows
+mapped read-only and fall back to local computation only for rows outside
+the store.
 
-``w_max`` (the paper's bound on pairwise costs) deserves a note: the dense
-backend reads it off the full matrix, and the lazy backend reproduces that
-value *exactly* by streaming the same Dijkstra sweep in bounded-memory
-chunks without retaining the rows — max is order-independent, so the two
-tiers agree bit-for-bit while the lazy tier stays O(chunk · |V|) in memory.
-The sweep runs only when ``w_max`` is actually read (greedy/local-search
-baselines); Algorithm 1 takes its bound from ``finite_max_from`` over
-candidate sources and never pays it.
+After link or node failures, :meth:`LazyRowBackend.repair` derives the
+degraded graph's backend, carrying every memoized row the removals cannot
+have touched; the others recompute on demand.
+
+``w_max`` (the paper's bound on pairwise costs) deserves a note: it is
+reproduced *exactly* by streaming the full Dijkstra sweep in bounded-memory
+chunks without retaining the rows — max is order-independent, so the value
+equals the max over a dense matrix bit-for-bit while memory stays
+O(chunk · |V|).  The sweep runs only when ``w_max`` is actually read
+(greedy/local-search baselines); Algorithm 1 takes its bound from
+``finite_max_from`` over candidate sources and never pays it.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Iterable, Sequence
-from typing import Protocol, runtime_checkable
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.exceptions import InvalidNetworkError
-from repro.graph.distance_matrix import (
-    HAVE_SCIPY,
-    DistanceMatrix,
-    _sparse_adjacency,
-)
 from repro.graph.network import COST
-from repro.graph.shortest_paths import single_source_dijkstra
 
 Node = Hashable
 
 __all__ = [
-    "DistanceBackend",
-    "DenseBackend",
     "LazyRowBackend",
     "RowStore",
 ]
@@ -68,70 +54,46 @@ __all__ = [
 _WMAX_CHUNK = 256
 
 
-@runtime_checkable
-class DistanceBackend(Protocol):
-    """Row-oriented distance oracle shared by every solver.
+def _sparse_adjacency(
+    graph: nx.DiGraph,
+    nodes: Sequence[Node],
+    index: dict[Node, int],
+    weight: str,
+):
+    """Adjacency of ``graph`` as a scipy CSR matrix, O(|V| + |E|) memory.
 
-    Implementations must agree bit-for-bit on all five operations: the
-    backends are interchangeable tiers of the same oracle, not approximate
-    variants.  ``nodes`` fixes the row/column order (graph insertion order,
-    as everywhere in the repo) and ``index`` maps node labels to it.
+    Structurally identical (indptr/indices/data) to what
+    ``csgraph_from_dense(dense_adjacency, null_value=inf)`` used to produce
+    — including the explicit zero-weight diagonal standing in for
+    ``fill_diagonal(adj, 0.0)`` — so every ``csgraph`` routine consuming it
+    returns bit-identical distances and predecessors, without the O(|V|²)
+    dense staging array that was fatal at 10k nodes.
     """
-
-    nodes: tuple[Node, ...]
-    index: dict[Node, int]
-
-    def distance(self, i: int, j: int) -> float:
-        """Least cost ``nodes[i] -> nodes[j]`` (``inf`` if unreachable)."""
-        ...
-
-    def row(self, i: int) -> np.ndarray:
-        """Read-only distance row from ``nodes[i]`` to every node."""
-        ...
-
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """Stacked rows ``(len(idx), |V|)`` for the given source indices."""
-        ...
-
-    def finite_max_rows(self, idx: np.ndarray) -> float:
-        """Max finite entry over the given rows (0.0 if none)."""
-        ...
-
-    def w_max(self) -> float:
-        """Max finite pairwise cost over *all* rows, floored at 1.0."""
-        ...
-
-
-class DenseBackend:
-    """The classic tier: a fully materialized all-pairs matrix."""
-
-    def __init__(self, dm: DistanceMatrix) -> None:
-        self.dm = dm
-        self.nodes = dm.nodes
-        self.index = dm.index
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.dm.matrix[i, j])
-
-    def row(self, i: int) -> np.ndarray:
-        return self.dm.matrix[i]
-
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        return self.dm.matrix[np.asarray(idx, dtype=np.intp)]
-
-    def finite_max_rows(self, idx: np.ndarray) -> float:
-        rows = self.rows(idx)
-        finite = rows[np.isfinite(rows)]
-        return float(finite.max()) if finite.size else 0.0
-
-    def w_max(self) -> float:
-        return self.dm.w_max()
-
-    def __repr__(self) -> str:
-        return f"DenseBackend(|V|={len(self.nodes)})"
+    n = len(nodes)
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    for u, v, edge in graph.edges(data=True):
+        w = float(edge.get(weight, 1.0))
+        if w < 0:
+            raise InvalidNetworkError(f"negative weight on ({u!r}, {v!r})")
+        i, j = index[u], index[v]
+        if i != j:  # self-loops collapse into the zero diagonal below
+            rows.append(i)
+            cols.append(j)
+            data.append(w)
+    rows.extend(range(n))
+    cols.extend(range(n))
+    data.extend([0.0] * n)
+    adj = csr_matrix(
+        (
+            np.asarray(data, dtype=np.float64),
+            (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
+        ),
+        shape=(n, n),
+    )
+    adj.sort_indices()
+    return adj
 
 
 class RowStore:
@@ -161,12 +123,7 @@ class LazyRowBackend:
     graph:
         The network graph; the CSR adjacency is built once (O(|V| + |E|)).
     nodes:
-        Row/column order (defaults to graph insertion order, matching
-        :func:`~repro.graph.distance_matrix.build_distance_matrix`).
-    use_scipy:
-        Batched ``scipy.sparse.csgraph.dijkstra`` when available; the
-        pure-python Dijkstra otherwise (same fallback, same results, as the
-        dense build).
+        Row/column order (defaults to graph insertion order).
     store:
         Optional preloaded :class:`RowStore` (typically attached from a
         shared-memory broadcast); its rows are served as read-only views
@@ -174,7 +131,7 @@ class LazyRowBackend:
 
     Memoized rows are capped only by what callers touch: solvers consult
     cache-node, pinned-holder and requester rows, which is O(relevant)
-    instead of O(|V|) — the whole point of the tier.
+    instead of O(|V|).
     """
 
     def __init__(
@@ -183,21 +140,11 @@ class LazyRowBackend:
         *,
         weight: str = COST,
         nodes: Sequence[Node] | None = None,
-        use_scipy: bool = True,
         store: RowStore | None = None,
     ) -> None:
-        self.nodes: tuple[Node, ...] = tuple(graph.nodes if nodes is None else nodes)
-        self.index: dict[Node, int] = {v: k for k, v in enumerate(self.nodes)}
-        self._graph = graph
-        self._weight = weight
-        self._use_scipy = bool(use_scipy and HAVE_SCIPY)
-        self._csgraph = (
-            _sparse_adjacency(graph, self.nodes, self.index, weight)
-            if self._use_scipy
-            else None
-        )
-        self._rows: dict[int, np.ndarray] = {}
-        self._w_max: float | None = None
+        order = tuple(graph.nodes if nodes is None else nodes)
+        index = {v: k for k, v in enumerate(order)}
+        self._init(order, index, _sparse_adjacency(graph, order, index, weight), weight)
         if store is not None:
             n = len(self.nodes)
             if store.block.shape[1] != n:
@@ -207,6 +154,15 @@ class LazyRowBackend:
                 )
             for k, i in enumerate(store.row_ids):
                 self._rows[int(i)] = store.block[k]
+
+    def _init(self, nodes, index, csgraph, weight: str) -> None:
+        self.nodes: tuple[Node, ...] = nodes
+        self.index: dict[Node, int] = index
+        #: CSR adjacency the rows are swept over (shared with path oracles).
+        self.csgraph = csgraph
+        self._weight = weight
+        self._rows: dict[int, np.ndarray] = {}
+        self._w_max: float | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -221,25 +177,9 @@ class LazyRowBackend:
     # ------------------------------------------------------------------
 
     def _compute_rows(self, sources: np.ndarray) -> np.ndarray:
-        """Fresh rows for ``sources``, bit-identical to a dense build's."""
-        n = len(self.nodes)
-        if self._use_scipy:
-            from scipy.sparse.csgraph import dijkstra
-
-            rows = np.atleast_2d(
-                dijkstra(self._csgraph, directed=True, indices=sources)
-            )
-            rows[np.arange(len(sources)), sources] = 0.0
-            return rows
-        rows = np.full((len(sources), n), math.inf, dtype=np.float64)
-        for k, i in enumerate(sources):
-            dist, _ = single_source_dijkstra(
-                self._graph, self.nodes[int(i)], weight=self._weight
-            )
-            for target, d in dist.items():
-                j = self.index.get(target)
-                if j is not None:
-                    rows[k, j] = d
+        """Fresh rows for ``sources``, one batched Dijkstra sweep."""
+        rows = np.atleast_2d(dijkstra(self.csgraph, directed=True, indices=sources))
+        rows[np.arange(len(sources)), sources] = 0.0
         return rows
 
     def ensure_rows(self, idx: Iterable[int]) -> None:
@@ -284,8 +224,8 @@ class LazyRowBackend:
         """Global max finite pairwise cost, floored at 1.0.
 
         Streams the full Dijkstra sweep in chunks of ``_WMAX_CHUNK`` rows,
-        reducing the max and discarding each chunk — bit-identical to
-        ``DistanceMatrix.w_max()`` (max is order-independent) at
+        reducing the max and discarding each chunk — bit-identical to the
+        max over a dense all-pairs matrix (max is order-independent) at
         O(chunk · |V|) memory.  Computed once, then cached.
         """
         if self._w_max is None:
@@ -326,33 +266,37 @@ class LazyRowBackend:
     ) -> "LazyRowBackend":
         """A backend for ``degraded_graph``, reusing unaffected memoized rows.
 
-        The lazy-tier twin of :func:`repro.graph.distance_matrix.
-        repair_distance_matrix`: ``removed_edges`` lists every directed edge
-        deleted from this backend's graph as ``(u, v, weight)`` triples
-        (node removals must list their incident edges too, as
-        :func:`repro.robustness.faults.apply_failure` records them), and
-        ``removed_nodes`` lists deleted nodes.  Each memoized row is kept
-        only if no removed edge can lie on a shortest path out of its
-        source — the per-row restriction of :func:`~repro.graph.
-        distance_matrix.affected_sources`: row ``i`` is affected when
-        ``row[u] + w + D[v, t] == row[t]`` for some removed ``(u, v, w)``
-        and some target ``t``.  Surviving rows are column-subset onto the
-        surviving node order and carried into the child; affected (and
+        ``removed_edges`` lists every directed edge deleted from this
+        backend's graph as ``(u, v, weight)`` triples, and
+        ``removed_nodes`` lists deleted nodes.  Edges incident to a removed
+        node are read from this backend's CSR, so they need not be listed
+        (:func:`repro.robustness.faults.apply_failure` records them anyway;
+        listing them twice is harmless).  A memoized row is carried into the
+        child unless some removed edge is *tight* in it:
+        ``row[u] + w == row[v]`` with ``row[u]`` finite.  Dijkstra's
+        distance of ``v`` is the minimum over its in-edges of
+        ``dist[p] + w`` (computed exactly so, in floating point), so an edge
+        that is not tight never sets a distance, and removing only such
+        edges leaves the row unchanged bit for bit.  The test may over-flag
+        a row an equal-cost surviving edge still covers (it recomputes
+        equal).  Carried rows are shared read-only, column-subset onto the
+        surviving node order under node removals; flagged (and
         never-computed) rows are simply absent and recompute lazily against
         the degraded CSR, so the child is bit-identical to a fresh
-        ``LazyRowBackend(degraded_graph)`` on every operation.
-
-        The affected test needs the parent rows of every removed-edge head;
-        heads not already memoized are computed transiently on the *parent*
-        graph and discarded — O(#removed edges) Dijkstras, never O(|V|).
-        ``w_max`` is not carried (the parent's value may hinge on removed
-        elements); the child re-streams it on first read.
+        ``LazyRowBackend(degraded_graph)`` on every operation.  The child's
+        CSR is this one with the removed entries masked out (the arrays a
+        fresh build makes, without iterating the degraded graph's edges),
+        and no Dijkstra runs here.  ``w_max`` is not carried (the parent's
+        value may hinge on removed elements); the child re-streams it on
+        first read.
 
         Raises
         ------
         InvalidNetworkError
             ``degraded_graph``'s node order is not this backend's order
-            minus ``removed_nodes`` (carried rows would be misindexed).
+            minus ``removed_nodes`` (carried rows would be misindexed), or
+            it lost an edge that is neither listed in ``removed_edges`` nor
+            incident to a removed node.
         """
         dead = set(removed_nodes)
         node_list = tuple(v for v in self.nodes if v not in dead)
@@ -361,49 +305,71 @@ class LazyRowBackend:
                 "degraded graph nodes do not match the backend order minus "
                 "removed nodes; build a fresh LazyRowBackend instead"
             )
-        child = LazyRowBackend(
-            degraded_graph,
-            weight=self._weight,
-            use_scipy=self._use_scipy,
-        )
-        if not self._rows:
-            return child
-        triples = [
-            (self.index[u], self.index[v], float(w))
-            for (u, v, w) in removed_edges
-            if u in self.index and v in self.index
-        ]
-        head_rows: dict[int, np.ndarray] = {}
-        heads = sorted({j for (_i, j, _w) in triples})
-        missing = [j for j in heads if j not in self._rows]
-        if missing:
-            fresh = self._compute_rows(np.asarray(missing, dtype=np.intp))
-            for k, j in enumerate(missing):
-                head_rows[j] = fresh[k]
-        for j in heads:
-            if j not in head_rows:
-                head_rows[j] = self._rows[j]
-        keep = np.fromiter(
-            (self.index[v] for v in node_list),
+        # Every entry of this CSR as (tail, head); entries are sorted by
+        # (tail, head), so masking them keeps the order.
+        n = len(self.nodes)
+        csr = self.csgraph
+        tail = np.repeat(np.arange(n, dtype=np.intp), np.diff(csr.indptr))
+        head = csr.indices.astype(np.intp)
+        alive = np.ones(n, dtype=bool)
+        alive[[self.index[v] for v in dead if v in self.index]] = False
+        # The removed edges: the listed ones plus every entry touching a dead
+        # node, never the zero diagonal standing in for self-loops.
+        gone = ~(alive[tail] & alive[head])
+        keys = tail * n + head  # increasing
+        listed = np.asarray(
+            [
+                self.index[u] * n + self.index[v]
+                for (u, v, _w) in removed_edges
+                if u in self.index and v in self.index
+            ],
             dtype=np.intp,
-            count=len(node_list),
         )
-        for i, row in self._rows.items():
-            if self.nodes[i] in dead:
+        pos = np.minimum(np.searchsorted(keys, listed), len(keys) - 1)
+        gone[pos[keys[pos] == listed]] = True
+        gone &= tail != head
+        # The child's CSR is this one minus the removed edges and the dead
+        # nodes' diagonals, renumbered onto the survivors: the same arrays
+        # _sparse_adjacency builds from degraded_graph.
+        kept = ~gone & alive[tail]
+        new_id = np.cumsum(alive) - 1
+        m = len(node_list)
+        indptr = np.zeros(m + 1, dtype=csr.indptr.dtype)
+        np.cumsum(np.bincount(new_id[tail[kept]], minlength=m), out=indptr[1:])
+        indices = new_id[head[kept]].astype(csr.indices.dtype)
+        child = LazyRowBackend.__new__(LazyRowBackend)
+        child._init(
+            node_list,
+            {v: k for k, v in enumerate(node_list)},
+            csr_matrix((csr.data[kept], indices, indptr), shape=(m, m)),
+            self._weight,
+        )
+        # One diagonal per survivor plus every edge that is not a self-loop.
+        edges = len(degraded_graph.edges) - nx.number_of_selfloops(degraded_graph)
+        if child.csgraph.nnz != edges + m:
+            raise InvalidNetworkError(
+                "degraded graph edges are not this graph's minus the removed "
+                "edges; build a fresh LazyRowBackend instead"
+            )
+        ids = [i for i in self._rows if alive[i]]
+        if not ids:
+            return child
+        # One vectorized tight test over every memoized row, reading only
+        # the removed edges' endpoint columns.
+        g = int(gone.sum())
+        cols = np.concatenate((tail[gone], head[gone]))
+        ends = np.stack([self._rows[i][cols] for i in ids])
+        via = ends[:, :g] + csr.data[gone]  # cost source -> u -> (u, v)
+        tight = (np.isfinite(via) & (via == ends[:, g:])).any(axis=1)
+        keep = np.flatnonzero(alive)
+        for i, dirty in zip(ids, tight.tolist()):
+            if dirty:
                 continue
-            affected = False
-            for ui, vi, w in triples:
-                via = row[ui] + w  # cost source -> u -> (u, v)
-                if not math.isfinite(via):
-                    continue
-                lhs = via + head_rows[vi]
-                if bool(np.any(np.isfinite(lhs) & (lhs == row))):
-                    affected = True
-                    break
-            if not affected:
-                carried = row[keep].copy()
-                carried.setflags(write=False)
-                child._rows[child.index[self.nodes[i]]] = carried
+            row = self._rows[i]
+            if dead:
+                row = row[keep]  # column subset onto the survivors
+                row.setflags(write=False)
+            child._rows[child.index[self.nodes[i]]] = row
         return child
 
     # ------------------------------------------------------------------

@@ -1,62 +1,60 @@
-"""Shared-memory broadcast of dense distance matrices across processes.
+"""Shared-memory broadcast of distance rows and array bundles across processes.
 
-A parallel Monte Carlo campaign on a fixed topology rebuilds (or unpickles)
-the same O(|V|²) distance matrix in every worker.  This module exports a
-:class:`~repro.graph.distance_matrix.DistanceMatrix` once into a
-``multiprocessing.shared_memory`` segment and lets workers *map* it: the
-pool initializer attaches the segment by name and registers the resulting
-matrix in a process-local registry keyed by a topology fingerprint
-(:func:`graph_signature`).  ``SolverContext.from_problem`` consults the
-registry before building a matrix, so any solver running inside a worker
-transparently reuses the broadcast copy — and the per-task pickle payload
-stays O(1) in the matrix size (only the segment *name* and node labels
-cross the process boundary, once per pool, via the initializer).
+A parallel Monte Carlo campaign on a fixed topology recomputes the same
+distance rows in every worker.  :class:`RowsBroadcast` exports the
+materialized rows of a :class:`~repro.graph.backends.LazyRowBackend` once
+into a ``multiprocessing.shared_memory`` segment and lets workers *map*
+them: the pool initializer attaches the segment by name and registers the
+resulting :class:`~repro.graph.backends.RowStore` in a process-local
+registry keyed by a topology fingerprint (:func:`graph_signature`).
+``SolverContext.from_problem`` consults the registry, so any solver running
+inside a worker transparently starts from the broadcast rows — and the
+per-task pickle payload stays O(1) in the row block (only the segment
+*name* and node labels cross the process boundary, once per pool, via the
+initializer).  :class:`BundleBroadcast` is the generic carrier underneath:
+any named set of numpy arrays in one segment (the serving engine ships its
+alias tables with it).
 
 Lifecycle and cleanup rules (also documented in DESIGN.md):
 
-- the *owner* (the process that called :class:`MatrixBroadcast`) is the
-  only one that unlinks the segment; it must call :meth:`MatrixBroadcast.close`
-  in a ``finally`` block so the segment never outlives the campaign, even
-  when the pool breaks (``BrokenProcessPool``) or a worker is abandoned on
-  timeout — POSIX keeps the mapping alive for attached processes after
-  unlink, so early unlink is safe;
+- the *owner* (the process that created the broadcast) is the only one
+  that unlinks the segment; it must call ``close()`` in a ``finally``
+  block so the segment never outlives the campaign, even when the pool
+  breaks (``BrokenProcessPool``) or a worker is abandoned on timeout —
+  POSIX keeps the mapping alive for attached processes after unlink, so
+  early unlink is safe;
 - workers attach read-only and *never* unlink; on Python 3.11 the
   ``SharedMemory`` constructor has no ``track`` parameter, so
-  :func:`attach_matrix` explicitly unregisters the segment from the
+  :func:`attach_bundle` explicitly unregisters the segment from the
   ``resource_tracker`` to keep a worker's exit from destroying the segment
   under the other workers;
 - registry lookups are free when nothing is registered (the signature is
   only computed once a broadcast exists), so the serial path pays nothing.
 
-Reuse is sound because the fingerprint pins everything a distance matrix
-depends on: the node *order* (rows/columns follow graph insertion order),
-the edge set, and the exact link costs (``float.hex``).  Campaigns whose
-scenario builder re-draws link costs per seed simply never match the
-signature and fall back to a fresh build — correct, just not accelerated.
+Reuse is sound because the fingerprint pins everything a distance row
+depends on: the node *order* (row/column layout follows graph insertion
+order), the edge set, and the exact link costs (``float.hex``).  Campaigns
+whose scenario builder re-draws link costs per seed simply never match the
+signature and fall back to local rows — correct, just not accelerated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
 import networkx as nx
 import numpy as np
 
-from repro.graph.distance_matrix import DistanceMatrix, Node
 from repro.graph.network import COST
+
+Node = Hashable
 
 __all__ = [
     "graph_signature",
-    "SharedMatrixHandle",
-    "MatrixBroadcast",
-    "attach_matrix",
-    "attach_and_register",
-    "register_matrix",
-    "unregister_matrix",
-    "lookup_matrix",
     "ArraySpec",
     "BundleHandle",
     "BundleBroadcast",
@@ -75,7 +73,7 @@ def graph_signature(graph: nx.DiGraph, *, weight: str = COST) -> str:
     """Deterministic fingerprint of (node order, edges, exact link costs).
 
     Two graphs share a signature only if they produce bit-identical
-    distance matrices: node iteration order fixes the row/column layout and
+    distance rows: node iteration order fixes the row/column layout and
     ``float.hex`` pins the costs exactly.  (Edge insertion order is also
     hashed — distances do not depend on it, so this is conservative: a
     reordered but equal graph misses the reuse, never the correctness.)
@@ -96,134 +94,17 @@ def graph_signature(graph: nx.DiGraph, *, weight: str = COST) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class SharedMatrixHandle:
-    """Picklable description of an exported matrix segment.
-
-    O(|V|) to pickle (segment name + node labels), independent of the
-    O(|V|²) matrix payload; crosses the process boundary once per pool via
-    the initializer, not once per task.
-    """
-
-    shm_name: str
-    shape: tuple[int, int]
-    nodes: tuple[Node, ...]
-    signature: str
-    #: PID of the exporting process — the only one allowed to unlink.
-    owner_pid: int = field(default_factory=os.getpid)
-
-
-class MatrixBroadcast:
-    """Owner side of one exported distance-matrix segment.
-
-    Creating the broadcast copies the matrix into a fresh shared-memory
-    segment; :attr:`handle` is what the pool initializer needs.  The owner
-    must call :meth:`close` (idempotent) when the campaign ends — it both
-    closes the local mapping and unlinks the segment from ``/dev/shm``.
-    """
-
-    def __init__(self, dm: DistanceMatrix, signature: str) -> None:
-        nbytes = int(dm.matrix.nbytes)
-        self._shm: shared_memory.SharedMemory | None = shared_memory.SharedMemory(
-            create=True, size=max(1, nbytes)
-        )
-        if nbytes:
-            view = np.ndarray(dm.matrix.shape, dtype=np.float64, buffer=self._shm.buf)
-            view[...] = dm.matrix
-        self.handle = SharedMatrixHandle(
-            shm_name=self._shm.name,
-            shape=tuple(dm.matrix.shape),
-            nodes=dm.nodes,
-            signature=signature,
-        )
-
-    def close(self) -> None:
-        shm, self._shm = self._shm, None
-        if shm is None:
-            return
-        try:
-            shm.close()
-        finally:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
-
-    def __enter__(self) -> "MatrixBroadcast":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# Process-local registry (consulted by SolverContext.from_problem)
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, DistanceMatrix] = {}
-#: Keeps attached segments referenced so their buffers outlive the arrays.
-_ATTACHED: list[shared_memory.SharedMemory] = []
-
-
-def register_matrix(signature: str, dm: DistanceMatrix) -> None:
-    """Offer ``dm`` for reuse to every in-process context build."""
-    _REGISTRY[signature] = dm
-
-
-def unregister_matrix(signature: str) -> None:
-    _REGISTRY.pop(signature, None)
-
-
-def lookup_matrix(graph: nx.DiGraph) -> DistanceMatrix | None:
-    """Registered matrix for ``graph``, or ``None``.
-
-    Free when the registry is empty — the signature is only computed while
-    a broadcast is actually live.
-    """
-    if not _REGISTRY:
-        return None
-    return _REGISTRY.get(graph_signature(graph))
-
-
-def attach_matrix(handle: SharedMatrixHandle) -> DistanceMatrix:
-    """Map an exported segment into this process as a read-only matrix.
-
-    In a worker (non-owner) process the segment is unregistered from the
-    ``resource_tracker`` (Python 3.11 has no ``track=False``), so a worker
-    exiting cannot unlink the owner's segment; in the owner's own process
-    the tracker entry is left for :meth:`MatrixBroadcast.close` to consume.
-    The mapping itself is kept alive for the process lifetime via a
-    module-level reference.
-    """
-    shm = shared_memory.SharedMemory(name=handle.shm_name)
-    if os.getpid() != handle.owner_pid:
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    _ATTACHED.append(shm)
-    matrix = np.ndarray(handle.shape, dtype=np.float64, buffer=shm.buf)
-    matrix.setflags(write=False)
-    return DistanceMatrix(nodes=handle.nodes, matrix=matrix)
-
-
-def attach_and_register(handle: SharedMatrixHandle) -> None:
-    """Pool-initializer entry point: attach the segment and register it."""
-    register_matrix(handle.signature, attach_matrix(handle))
-
-
 # ----------------------------------------------------------------------
 # Generic array-bundle broadcast
 # ----------------------------------------------------------------------
 #
-# The distance-matrix broadcast above ships exactly one float64 matrix.  The
-# serving engine (``repro.serving``) needs the same one-writer/many-reader
-# discipline for a *set* of heterogeneous arrays (alias tables, path CSR
-# layouts, rate vectors).  ``BundleBroadcast`` packs any named collection of
-# numpy arrays into a single segment; ``attach_bundle`` maps them back as
-# read-only views.  Lifecycle rules are identical to ``MatrixBroadcast``:
-# only the owner unlinks, workers detach from the resource tracker so their
-# exit cannot destroy the segment under the others.
+# ``BundleBroadcast`` packs any named collection of numpy arrays into a
+# single segment; ``attach_bundle`` maps them back as read-only views.  The
+# row-store broadcast below and the serving engine (``repro.serving``: alias
+# tables, path CSR layouts, rate vectors) both ride on it.
+
+#: Keeps attached segments referenced so their buffers outlive the arrays.
+_ATTACHED: list[shared_memory.SharedMemory] = []
 
 #: Segment layout alignment; keeps every array's view aligned for any dtype.
 _ALIGN = 64
@@ -310,17 +191,15 @@ class BundleBroadcast:
 
 
 # ----------------------------------------------------------------------
-# Lazy-row-store broadcast (tiered backend, see repro.graph.backends)
+# Row-store broadcast (see repro.graph.backends)
 # ----------------------------------------------------------------------
 #
-# The dense broadcast above ships the whole O(|V|²) matrix — exactly what the
-# lazy tier exists to avoid.  ``RowsBroadcast`` ships only the *materialized*
-# rows of a ``LazyRowBackend`` (cache nodes, pinned holders, requesters: the
-# rows any solver actually consults) as one ``BundleBroadcast`` segment, plus
-# the row-id map.  Workers attach the block read-only and build their own
-# ``LazyRowBackend`` on top of it: preloaded rows are zero-copy views into
-# the segment, and a row outside the store falls back to a local Dijkstra.
-# Lifecycle rules are ``MatrixBroadcast``'s: only the owner unlinks.
+# ``RowsBroadcast`` ships the *materialized* rows of a ``LazyRowBackend``
+# (cache nodes, pinned holders, requesters: the rows any solver actually
+# consults) as one ``BundleBroadcast`` segment, plus the row-id map.  Workers
+# attach the block read-only and build their own ``LazyRowBackend`` on top
+# of it: preloaded rows are zero-copy views into the segment, and a row
+# outside the store falls back to a local Dijkstra.
 
 
 @dataclass(frozen=True)
@@ -404,10 +283,11 @@ def attach_and_register_rows(handle: SharedRowsHandle) -> None:
 def attach_bundle(handle: BundleHandle) -> "dict[str, np.ndarray]":
     """Map an exported bundle into this process as read-only arrays.
 
-    Same tracker discipline as :func:`attach_matrix`: a worker (non-owner)
-    unregisters the segment from the ``resource_tracker`` so its exit cannot
-    unlink the owner's segment.  The mapping is kept alive for the process
-    lifetime via the module-level reference list.
+    A worker (non-owner) unregisters the segment from the
+    ``resource_tracker`` (Python 3.11 has no ``track=False``) so its exit
+    cannot unlink the owner's segment; in the owner's own process the
+    tracker entry is left for ``close()`` to consume.  The mapping is kept
+    alive for the process lifetime via the module-level reference list.
     """
     shm = shared_memory.SharedMemory(name=handle.shm_name)
     if os.getpid() != handle.owner_pid:

@@ -604,13 +604,13 @@ def run_scale_chaos(
     *,
     raise_on_violation: bool = False,
 ) -> ChaosReport:
-    """Seeded chaos campaigns on 1k–10k-node hierarchies, lazy tier only.
+    """Seeded chaos campaigns on 1k–10k-node hierarchies (lazy rows).
 
     The scale twin of :func:`run_chaos`: each campaign builds a
-    :func:`hierarchy_problem`, forces the solver context onto the lazy row
-    tier (``backend="lazy"`` — these sizes must never materialize the dense
-    matrix), draws a seeded failure timeline over the hierarchy, and
-    replays it under the full :class:`InvariantChecker`.  With
+    :func:`hierarchy_problem`, builds its lazy-row solver context (these
+    sizes must never materialize the dense matrix), draws a seeded failure
+    timeline over the hierarchy, and replays it under the full
+    :class:`InvariantChecker`.  With
     ``config.cluster_resolve`` the controller re-optimizes through
     cluster-local re-solves (:func:`~repro.robustness.recovery.
     cluster_local_recover`) on a healthy-topology partition; otherwise it
@@ -643,7 +643,7 @@ def run_scale_chaos(
             min_dwell=config.horizon / 8.0,
             repair=False,
         )
-        context = SolverContext.from_problem(problem, backend="lazy")
+        context = SolverContext.from_problem(problem)
         partition = (
             partition_graph(problem.network, seed=index)
             if config.cluster_resolve

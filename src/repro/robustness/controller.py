@@ -614,20 +614,6 @@ class TimelineController:
             return CapacityDegradation(fault.factor, alive)
         return fault  # pragma: no cover - guarded by the Fault union
 
-    def _row_sources(self, problem: ProblemInstance) -> tuple:
-        """Distance-matrix rows a recovery on ``problem`` can read.
-
-        ``recover`` (RNR + the repair greedy) takes distances out of cache
-        nodes, pinned nodes, and placement holders only — and holders live
-        on cache nodes — so a partial ``degraded_context`` repairing just
-        these rows is exact for the whole re-optimization.  The set only
-        shrinks as elements fail, which keeps chained partial derivations
-        valid (see :func:`repro.graph.distance_matrix.repair_distance_matrix`).
-        """
-        need = set(problem.network.cache_nodes())
-        need.update(v for (v, _i) in problem.pinned)
-        return tuple(need)
-
     def _derive_state(
         self, scenario: FailureScenario
     ) -> tuple[DegradedProblem, "SolverContext | None"]:
@@ -646,9 +632,7 @@ class TimelineController:
                 FailureScenario(scenario.name, self._ordered_faults(delta_faults)),
             )
             ctx = (
-                degraded_context(
-                    self._cur_ctx, delta, sources=self._row_sources(delta.problem)
-                )
+                degraded_context(self._cur_ctx, delta)
                 if self._cur_ctx is not None
                 else None
             )
@@ -671,9 +655,7 @@ class TimelineController:
             if self.context is None:
                 ctx = None
             elif self.incremental:
-                ctx = degraded_context(
-                    self.context, degraded, sources=self._row_sources(degraded.problem)
-                )
+                ctx = degraded_context(self.context, degraded)
             else:
                 ctx = rebuild_context(degraded)
             self._cum_failed_nodes = set(degraded.failed_nodes)
@@ -836,9 +818,8 @@ def replay_timeline(
     ``context`` is the *healthy* instance's solver context; when given, each
     action's degraded context is derived incrementally from it (or rebuilt
     from scratch with ``incremental=False`` — same report, more wall-clock).
-    The context may run either distance tier: ``degraded_context`` repairs
-    dense matrices and lazy row stores alike, so timelines replay unchanged
-    on 10k-node topologies under ``backend="lazy"``.  ``observer`` is
+    ``degraded_context`` repairs only memoized distance rows, so timelines
+    replay unchanged on 10k-node topologies.  ``observer`` is
     invoked after every processed event and action; the chaos harness uses
     it to assert invariants mid-replay.  ``partition`` (a healthy-topology
     :class:`~repro.core.decomposed.ClusterPartition`) switches

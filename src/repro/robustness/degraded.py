@@ -2,25 +2,19 @@
 
 A failure sweep evaluates hundreds of closely related instances: each
 scenario removes a handful of links or nodes from one healthy topology.
-Rebuilding a :class:`~repro.core.context.SolverContext` per scenario runs a
-full all-pairs shortest-path computation every time, although a single link
+Rebuilding a :class:`~repro.core.context.SolverContext` per scenario
+recomputes every distance row a recovery reads, although a single link
 removal typically perturbs only the rows whose shortest paths crossed it.
 
-:func:`degraded_context` instead *repairs* the parent's distance backend,
-dispatching on its tier: a dense parent goes through
-:func:`repro.graph.distance_matrix.repair_distance_matrix` (rows that
-cannot have used a failed element are copied, the rest recomputed in one
-batched Dijkstra sweep over the surviving graph), and a lazy-row parent
-goes through :meth:`repro.graph.backends.LazyRowBackend.repair` (memoized
-rows the failure cannot have touched are carried over; dirtied rows are
-simply dropped and recompute on demand against the degraded CSR).  Either
-way the derived context is bit-identical to
-``SolverContext.from_problem(degraded.problem)`` on the same tier — parity
+:func:`degraded_context` instead *repairs* the parent's distance backend
+through :meth:`repro.graph.backends.LazyRowBackend.repair`: memoized rows
+the failure cannot have touched are carried over, dirtied rows are dropped
+and recompute on demand against the degraded CSR.  The derived context is
+bit-identical to ``SolverContext.from_problem(degraded.problem)`` — parity
 is asserted in ``tests/robustness/test_degraded_context.py`` and
 ``tests/robustness/test_scale_resilience.py`` — so it can be threaded
 through recovery and reporting without changing any result, only the
-wall-clock (and, on the lazy tier, without ever materializing O(|V|²)
-state).
+wall-clock, and without ever materializing O(|V|²) state.
 
 A derived context is valid exactly when the degraded instance was produced
 by :func:`repro.robustness.faults.apply_failure` from the parent context's
@@ -28,7 +22,7 @@ own problem: the faults must be pure removals or capacity scalings (link
 costs unchanged), and the surviving node order must be the parent order
 minus the failed nodes (``graph.copy()`` + removals preserves insertion
 order, so this holds by construction).  When the node orders cannot be
-matched the function falls back to a full rebuild rather than guessing.
+matched the function falls back to a fresh backend rather than guessing.
 
 **Chaining (failure timelines).**  Because the only requirement is
 "``degraded`` was produced by ``apply_failure`` from the parent's problem",
@@ -36,104 +30,60 @@ a derived context can itself serve as the parent of the next derivation:
 the timeline controller (:mod:`repro.robustness.controller`) composes
 ``degraded_context`` child-on-child across consecutive failure events, each
 step repairing only the rows the new faults touched.  The chain is
-*failure-monotone*: repairs add elements back, which ``repair_distance_
-matrix`` cannot express, so a repair event recomposes the surviving fault
-set from the healthy root context instead (:func:`rebuild_context` is the
-from-scratch twin both parity tests compare against).
+*failure-monotone*: repairs add elements back, which ``repair`` cannot
+express, so a repair event recomposes the surviving fault set from the
+healthy root context instead (:func:`rebuild_context` is the from-scratch
+twin both parity tests compare against).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
-
 from repro.core.context import SolverContext
 from repro.exceptions import InvalidNetworkError
 from repro.graph.backends import LazyRowBackend
-from repro.graph.distance_matrix import build_distance_matrix, repair_distance_matrix
 from repro.robustness.faults import DegradedProblem
-
-Node = Hashable
 
 __all__ = ["degraded_context", "rebuild_context"]
 
 
-def degraded_context(
-    parent: SolverContext,
-    degraded: DegradedProblem,
-    *,
-    use_scipy: bool = True,
-    sources: "Sequence[Node] | None" = None,
-) -> SolverContext:
+def degraded_context(parent: SolverContext, degraded: DegradedProblem) -> SolverContext:
     """A :class:`SolverContext` for ``degraded.problem``, derived from ``parent``.
 
     The parent must be the context of the healthy instance the scenario was
     applied to.  Capacity-only scenarios (no removed links or nodes) share
-    the parent's distance matrix outright; removals repair it incrementally.
-    Falls back to a fresh :func:`build_distance_matrix` when the surviving
-    node order cannot be aligned with the parent's (never the case for
-    instances produced by :func:`~repro.robustness.faults.apply_failure`).
-
-    ``sources`` opts into a **partial** derivation on the dense tier: only
-    the named rows of the distance matrix are guaranteed valid, other
-    dirtied rows hold ``NaN`` (see :func:`repro.graph.distance_matrix.
-    repair_distance_matrix`).  Failure recovery reads distances out of
-    cache, pinned, and placement holder nodes only, so the timeline
-    controller names exactly those and skips recomputing the ~90% of rows a
-    re-optimization never touches.  The partial context is only safe for
-    :func:`~repro.robustness.recovery.recover`-style consumers; hand full
-    contexts to anything else.  On the lazy tier the hint is moot — every
-    derived context is already partial in the stronger sense that rows only
-    exist once consulted — so it is accepted and ignored.
+    the parent's distance backend outright; removals repair it
+    incrementally.  Falls back to a fresh backend when the surviving node
+    order cannot be aligned with the parent's (never the case for instances
+    produced by :func:`~repro.robustness.faults.apply_failure`).
     """
     graph = degraded.problem.network.graph
     if not degraded.failed_links and not degraded.failed_nodes:
         # Capacity degradation only: link costs — and therefore every
-        # distance — are untouched, so the parent backend (either tier) is
-        # shared outright.  Node labels are compared, never ``parent.dm``,
-        # so a no-op degradation stays free on lazy contexts too.
+        # distance — are untouched, so the parent backend is shared.
         if parent.nodes == tuple(graph.nodes):
             return SolverContext(degraded.problem, backend=parent.backend)
-        return SolverContext.from_problem(degraded.problem, use_scipy=use_scipy)
+        return SolverContext.from_problem(degraded.problem)
     removed_edges = [
         (u, v, parent.link_cost(u, v))
         for (u, v) in sorted(degraded.failed_links, key=repr)
         if u in parent.node_index and v in parent.node_index
     ]
-    backend = parent.backend
-    if isinstance(backend, LazyRowBackend):
-        try:
-            repaired = backend.repair(
-                graph,
-                removed_edges=removed_edges,
-                removed_nodes=tuple(degraded.failed_nodes),
-            )
-        except InvalidNetworkError:
-            repaired = LazyRowBackend(graph, use_scipy=use_scipy)
-        return SolverContext(degraded.problem, backend=repaired)
     try:
-        dm = repair_distance_matrix(
-            parent.dm,
+        repaired = parent.backend.repair(
             graph,
             removed_edges=removed_edges,
             removed_nodes=tuple(degraded.failed_nodes),
-            use_scipy=use_scipy,
-            sources=sources,
         )
     except InvalidNetworkError:
-        dm = build_distance_matrix(graph, use_scipy=use_scipy)
-    return SolverContext(degraded.problem, dm=dm)
+        repaired = LazyRowBackend(graph)
+    return SolverContext(degraded.problem, backend=repaired)
 
 
-def rebuild_context(
-    degraded: DegradedProblem, *, use_scipy: bool = True
-) -> SolverContext:
+def rebuild_context(degraded: DegradedProblem) -> SolverContext:
     """Full-rebuild twin of :func:`degraded_context` (fresh build, no reuse).
 
     The baseline the incremental path is measured — and parity-tested —
     against: ``degraded_context(parent, degraded)`` must equal
     ``rebuild_context(degraded)`` bit-for-bit in every derived quantity.
-    Tier-aware like :meth:`SolverContext.from_problem`: mid-size instances
-    rebuild the dense matrix exactly as before, while instances above the
-    dense threshold rebuild on the lazy row tier instead of exploding.
     """
-    return SolverContext.from_problem(degraded.problem, use_scipy=use_scipy)
+    return SolverContext.from_problem(degraded.problem)

@@ -1,7 +1,7 @@
-"""Property tests: the dense SolverContext path agrees with the dict path.
+"""Property tests: the SolverContext path agrees with the dict path.
 
 Every solver accepts ``context=None`` (dict-based ShortestPathCache) or a
-SolverContext (dense distance matrix + vectorized reductions).  These tests
+SolverContext (lazy distance rows + vectorized reductions).  These tests
 drive both paths over random seeded instances and demand identical results,
 which is the correctness argument for the vectorization.
 """
@@ -22,6 +22,7 @@ from repro.core.submodular import local_search_swap
 from repro.graph import all_pairs_least_costs
 
 from tests.core.conftest import make_line_problem, random_uncapacitated_problem
+from tests.oracles.dense import build_distance_matrix
 
 SEEDS = range(8)
 
@@ -165,30 +166,40 @@ class TestSolverEquivalence:
         ) == pytest.approx(routing_cost(random_problem, res_dict.solution.routing))
 
     def test_scipy_and_python_contexts_agree(self):
+        # Context rows (scipy) vs the pure-python Dijkstra of the dict path.
         prob = random_uncapacitated_problem(3)
-        fast = SolverContext.from_problem(prob, use_scipy=True)
-        slow = SolverContext.from_problem(prob, use_scipy=False)
-        np.testing.assert_allclose(fast.dm.matrix, slow.dm.matrix)
+        fast = SolverContext.from_problem(prob)
+        costs, _ = all_pairs_least_costs(prob.network.graph)
+        slow = np.asarray(
+            [[costs[u].get(v, np.inf) for v in fast.nodes] for u in fast.nodes]
+        )
+        np.testing.assert_allclose(fast.rows_of(fast.nodes), slow)
         p_fast = greedy_rnr_placement(prob, context=fast)
-        p_slow = greedy_rnr_placement(prob, context=slow)
+        p_slow = greedy_rnr_placement(prob)
         assert dict(p_fast.items()) == dict(p_slow.items())
 
 
 class TestLazyTierEquivalence:
-    """The lazy row tier is bit-identical to the dense tier on every solver."""
+    """Rows computed on demand are bit-identical to a fully primed backend
+    (every row materialized up front, as the dense all-pairs matrix was)
+    on every solver, and to the dense oracle's rows."""
 
     def lazy_ctx(self, problem):
-        return SolverContext.from_problem(problem, backend="lazy")
+        return SolverContext.from_problem(problem)
 
     def dense_ctx(self, problem):
-        return SolverContext.from_problem(problem, backend="dense")
+        ctx = SolverContext.from_problem(problem)
+        ctx.prime_rows(ctx.nodes)
+        return ctx
 
     def test_distance_ops_bit_identical(self, random_problem):
         dense = self.dense_ctx(random_problem)
         lazy = self.lazy_ctx(random_problem)
+        oracle = build_distance_matrix(random_problem.network.graph)
         nodes = list(random_problem.network.nodes)
         for v in nodes:
             assert np.array_equal(dense.row_of(v), lazy.row_of(v))
+            assert np.array_equal(lazy.row_of(v), oracle.matrix[oracle.index[v]])
         assert np.array_equal(dense.rows_of(nodes[:4]), lazy.rows_of(nodes[:4]))
         assert dense.finite_max_from(nodes[:5]) == lazy.finite_max_from(nodes[:5])
         assert dense.w_max == lazy.w_max
@@ -240,25 +251,15 @@ class TestLazyTierEquivalence:
             random_problem, r_lazy
         )
 
-    def test_dm_property_raises_on_lazy(self):
-        from repro.exceptions import ResourceError
-
-        prob = random_uncapacitated_problem(0)
-        lazy = self.lazy_ctx(prob)
-        with pytest.raises(ResourceError):
-            _ = lazy.dm
-
-    def test_auto_threshold_picks_tier(self, monkeypatch):
-        from repro.graph.backends import DenseBackend, LazyRowBackend
+    def test_from_problem_accepts_only_lazy(self):
+        from repro.exceptions import InvalidProblemError
+        from repro.graph.backends import LazyRowBackend
 
         prob = random_uncapacitated_problem(1)
-        assert isinstance(
-            SolverContext.from_problem(prob).backend, DenseBackend
-        )
-        monkeypatch.setenv("REPRO_DENSE_NODE_THRESHOLD", "3")
-        assert isinstance(
-            SolverContext.from_problem(prob).backend, LazyRowBackend
-        )
+        assert isinstance(SolverContext.from_problem(prob).backend, LazyRowBackend)
+        for tier in ("dense", "auto"):
+            with pytest.raises(InvalidProblemError):
+                SolverContext.from_problem(prob, backend=tier)
 
     def test_prime_rows_limits_materialization(self):
         from repro.core.context import relevant_sources
@@ -268,6 +269,7 @@ class TestLazyTierEquivalence:
         ctx = self.lazy_ctx(prob)
         backend = ctx.backend
         assert isinstance(backend, LazyRowBackend)
+        assert backend.materialized == 0
         ctx.prime_rows()
         assert backend.materialized == len(relevant_sources(prob))
 

@@ -2,8 +2,8 @@
 
 Covers the reuse-layer guarantees for parallel campaigns: records stay
 bit-identical to serial execution with and without a broadcast, the
-per-pool pickle payload is the O(|V|) handle rather than the O(|V|²)
-matrix, and the shared-memory segment never outlives the campaign — not
+per-pool pickle payload is the O(|V|) handle rather than the row block
+it maps, and the shared-memory segment never outlives the campaign — not
 even when a worker hard-crashes the pool (``BrokenProcessPool``).
 """
 
@@ -15,7 +15,7 @@ from repro.core.context import SolverContext
 from repro.experiments import MonteCarloConfig, ScenarioConfig, run_monte_carlo
 from repro.experiments.algorithms import greedy, sp
 from repro.experiments.scenarios import build_scenario
-from repro.graph.shm import MatrixBroadcast, graph_signature, lookup_matrix
+from repro.graph.shm import RowsBroadcast, graph_signature, lookup_rows
 from tests.experiments.test_runner_hardening import crash_worker
 
 SMALL = ScenarioConfig(seed=0, link_capacity_fraction=None)
@@ -131,17 +131,19 @@ class TestLifecycle:
             scenario_builder=fixed_topology_builder,
             broadcast_context=ctx,
         )
-        assert lookup_matrix(ctx.problem.network.graph) is None
+        assert lookup_rows(ctx.problem.network.graph) is None
 
 
 class TestPayload:
     def test_handle_payload_independent_of_matrix_size(self):
-        from repro.graph import build_distance_matrix, deltacom
+        from repro.graph import LazyRowBackend, deltacom
 
         graph = deltacom().graph
-        dm = build_distance_matrix(graph)
-        with MatrixBroadcast(dm, graph_signature(graph)) as broadcast:
+        backend = LazyRowBackend(graph)
+        backend.ensure_rows(range(len(backend)))
+        store = backend.row_store()
+        with RowsBroadcast(store, backend.nodes, graph_signature(graph)) as broadcast:
             handle_bytes = len(pickle.dumps(broadcast.handle))
-        # The O(|V|²) payload never crosses the boundary per task — only the
+        # The all-rows block never crosses the boundary per task — only the
         # O(|V|) handle does, once per pool.
-        assert handle_bytes < dm.matrix.nbytes / 10
+        assert handle_bytes < store.block.nbytes / 10

@@ -1,34 +1,56 @@
-"""Tiered distance backends: bit-parity, laziness, stores, memory guard."""
+"""Lazy distance rows: bit-parity with the dense oracle, laziness, stores."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ResourceError
 from repro.graph import (
-    DenseBackend,
-    DistanceBackend,
     LazyRowBackend,
     RowStore,
     abovenet,
     abvt,
-    build_distance_matrix,
+    all_pairs_least_costs,
     deltacom,
-    estimate_dense_bytes,
     line_topology,
     random_topology,
     tinet,
     tree_topology,
 )
+from tests.oracles.dense import build_distance_matrix
 
 TOPOLOGIES = [abovenet, abvt, tinet, deltacom, lambda: line_topology(7),
               lambda: tree_topology(2, 3), lambda: random_topology(40, seed=3)]
 
 
+class DenseRows:
+    """The dense oracle behind the backend's row interface."""
+
+    def __init__(self, graph) -> None:
+        self.dm = build_distance_matrix(graph)
+        self.nodes = self.dm.nodes
+
+    def row(self, i: int) -> np.ndarray:
+        return self.dm.matrix[i]
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        return self.dm.matrix[np.asarray(idx, dtype=np.intp)]
+
+    def distance(self, i: int, j: int) -> float:
+        return float(self.dm.matrix[i, j])
+
+    def finite_max_rows(self, idx: np.ndarray) -> float:
+        rows = self.rows(idx)
+        finite = rows[np.isfinite(rows)]
+        return float(finite.max()) if finite.size else 0.0
+
+    def w_max(self) -> float:
+        return self.dm.w_max()
+
+
 def backends_for(net):
     graph = net.graph
-    dense = DenseBackend(build_distance_matrix(graph))
-    lazy = LazyRowBackend(graph)
-    return dense, lazy
+    return DenseRows(graph), LazyRowBackend(graph)
 
 
 class TestBitParity:
@@ -58,16 +80,13 @@ class TestBitParity:
         assert dense.distance(3, 40) == lazy.distance(3, 40)
 
     def test_python_fallback_matches_scipy(self):
+        # scipy rows vs the pure-python Dijkstra of all_pairs_least_costs.
         net = abvt()
-        scipy_rows = LazyRowBackend(net.graph, use_scipy=True)
-        py_rows = LazyRowBackend(net.graph, use_scipy=False)
-        for i in range(len(scipy_rows)):
-            assert np.allclose(scipy_rows.row(i), py_rows.row(i))
-
-    def test_protocol_conformance(self):
-        dense, lazy = backends_for(abvt())
-        assert isinstance(dense, DistanceBackend)
-        assert isinstance(lazy, DistanceBackend)
+        scipy_rows = LazyRowBackend(net.graph)
+        costs, _ = all_pairs_least_costs(net.graph)
+        for i, u in enumerate(scipy_rows.nodes):
+            py_row = [costs[u].get(v, math.inf) for v in scipy_rows.nodes]
+            assert np.allclose(scipy_rows.row(i), py_row)
 
 
 class TestLaziness:
@@ -84,7 +103,7 @@ class TestLaziness:
         lazy.row(2)
         w = lazy.w_max()
         assert lazy.materialized == 1  # sweep streamed, nothing retained
-        assert w == DenseBackend(build_distance_matrix(net.graph)).dm.w_max()
+        assert w == build_distance_matrix(net.graph).w_max()
 
     def test_rows_are_read_only(self):
         lazy = LazyRowBackend(abvt().graph)
@@ -115,29 +134,3 @@ class TestRowStore:
                 abvt().graph,
                 store=RowStore(np.asarray([0]), np.zeros((1, 4))),
             )
-
-
-class TestMemoryGuard:
-    def test_estimate_counts_matrix_and_adjacency(self):
-        assert estimate_dense_bytes(1000) == 2 * 8 * 1000 * 1000
-
-    def test_build_raises_over_explicit_ceiling(self):
-        net = deltacom()
-        needed = estimate_dense_bytes(net.num_nodes)
-        with pytest.raises(ResourceError) as err:
-            build_distance_matrix(net.graph, max_bytes=needed - 1)
-        msg = str(err.value)
-        assert f"{needed:,}" in msg or str(needed) in msg
-        assert "LazyRowBackend" in msg
-
-    def test_build_respects_env_ceiling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "1024")
-        with pytest.raises(ResourceError):
-            build_distance_matrix(deltacom().graph)
-
-    def test_build_passes_under_ceiling(self):
-        net = abvt()
-        dm = build_distance_matrix(
-            net.graph, max_bytes=estimate_dense_bytes(net.num_nodes)
-        )
-        assert dm.matrix.shape == (23, 23)

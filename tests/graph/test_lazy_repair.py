@@ -1,10 +1,8 @@
 """LazyRowBackend.repair parity: carried rows == fresh degraded rows, bit for bit.
 
-The lazy tier's repair path mirrors :func:`repro.graph.distance_matrix.
-repair_distance_matrix` row by row: a memoized row is carried into the
-degraded backend only when no removed edge could have lain on one of its
-shortest paths; everything else is dropped and recomputes on demand against
-the degraded CSR.  Either way every row must equal a fresh
+A memoized row is carried into the degraded backend only when no removed
+edge could have lain on one of its shortest paths; everything else is
+dropped and recomputes on demand against the degraded CSR.  Either way every row must equal a fresh
 ``LazyRowBackend(degraded_graph)`` build exactly — these tests sweep random
 link and node removals over embedded mid-size topologies and assert the
 bit-parity, the carry behaviour, and the node-order contract.

@@ -1,4 +1,4 @@
-"""Shared-memory distance-matrix broadcast: signatures, round-trips, cleanup."""
+"""Shared-memory broadcast of distance rows: signatures, round-trips, cleanup."""
 
 from pathlib import Path
 
@@ -6,17 +6,18 @@ import networkx as nx
 import numpy as np
 import pickle
 
-from repro.graph import build_distance_matrix, line_topology
+from repro.graph import LazyRowBackend, line_topology
 from repro.graph.shm import (
     BundleBroadcast,
-    MatrixBroadcast,
+    RowsBroadcast,
     attach_bundle,
-    attach_matrix,
+    attach_rows,
     graph_signature,
-    lookup_matrix,
-    register_matrix,
-    unregister_matrix,
+    lookup_rows,
+    register_rows,
+    unregister_rows,
 )
+from tests.oracles.dense import build_distance_matrix
 
 
 def small_graph() -> nx.DiGraph:
@@ -25,6 +26,13 @@ def small_graph() -> nx.DiGraph:
     g.add_edge("b", "c", cost=2.5)
     g.add_edge("c", "a", cost=0.5)
     return g
+
+
+def primed_store(g: nx.DiGraph):
+    """Every row of ``g`` as one store (what the dense matrix used to ship)."""
+    backend = LazyRowBackend(g)
+    backend.ensure_rows(range(len(backend)))
+    return backend, backend.row_store()
 
 
 def shm_segments() -> set[str]:
@@ -59,35 +67,37 @@ class TestSignature:
 
 
 class TestBroadcast:
+    """A fully primed row store: the all-pairs broadcast case."""
+
     def test_attach_round_trip_bit_identical(self):
         g = small_graph()
-        dm = build_distance_matrix(g)
+        backend, store = primed_store(g)
         sig = graph_signature(g)
-        with MatrixBroadcast(dm, sig) as broadcast:
-            attached = attach_matrix(broadcast.handle)
-            assert attached.nodes == dm.nodes
-            assert np.array_equal(attached.matrix, dm.matrix)
-            assert not attached.matrix.flags.writeable
+        with RowsBroadcast(store, backend.nodes, sig) as broadcast:
+            attached = attach_rows(broadcast.handle)
+            assert broadcast.handle.nodes == backend.nodes
+            assert np.array_equal(attached.block, build_distance_matrix(g).matrix)
+            assert not attached.block.flags.writeable
 
     def test_close_unlinks_segment(self):
-        dm = build_distance_matrix(small_graph())
+        g = small_graph()
+        backend, store = primed_store(g)
         before = shm_segments()
-        broadcast = MatrixBroadcast(dm, "sig")
+        broadcast = RowsBroadcast(store, backend.nodes, "sig")
         assert shm_segments() - before  # segment exists while open
         broadcast.close()
         assert shm_segments() - before == set()
         broadcast.close()  # idempotent
 
     def test_handle_pickles_small_and_subquadratic(self):
-        # The per-pool payload is the handle, not the matrix: O(|V|) bytes.
+        # The per-pool payload is the handle, not the rows: O(|V|) bytes.
         sizes = {}
         for n in (30, 60):
-            net = line_topology(n)
-            dm = build_distance_matrix(net.graph)
-            with MatrixBroadcast(dm, "sig") as broadcast:
+            backend, store = primed_store(line_topology(n).graph)
+            with RowsBroadcast(store, backend.nodes, "sig") as broadcast:
                 sizes[n] = len(pickle.dumps(broadcast.handle))
-                assert sizes[n] < dm.matrix.nbytes / 10
-        # Doubling |V| quadruples the matrix but must not quadruple the
+                assert sizes[n] < store.block.nbytes / 10
+        # Doubling |V| quadruples the block but must not quadruple the
         # handle (node labels grow linearly).
         assert sizes[60] < 3 * sizes[30]
 
@@ -151,35 +161,36 @@ class TestBundle:
 class TestRegistry:
     def test_lookup_hits_only_matching_graph(self):
         g = small_graph()
-        dm = build_distance_matrix(g)
+        _, store = primed_store(g)
         sig = graph_signature(g)
-        assert lookup_matrix(g) is None  # empty registry: free miss
-        register_matrix(sig, dm)
+        assert lookup_rows(g) is None  # empty registry: free miss
+        register_rows(sig, store)
         try:
-            assert lookup_matrix(g) is dm
+            assert lookup_rows(g) is store
             other = small_graph()
             other["a"]["b"]["cost"] = 7.0
-            assert lookup_matrix(other) is None
+            assert lookup_rows(other) is None
         finally:
-            unregister_matrix(sig)
-        assert lookup_matrix(g) is None
+            unregister_rows(sig)
+        assert lookup_rows(g) is None
 
     def test_context_from_problem_uses_registry(self):
         from repro.core.context import SolverContext
         from tests.core.conftest import random_uncapacitated_problem
 
         problem = random_uncapacitated_problem(0)
-        dm = build_distance_matrix(problem.network.graph)
+        _, store = primed_store(problem.network.graph)
         sig = graph_signature(problem.network.graph)
-        register_matrix(sig, dm)
+        register_rows(sig, store)
         try:
             ctx = SolverContext.from_problem(problem)
-            assert ctx.dm is dm
+            assert ctx.backend.materialized == len(store)
+            assert np.shares_memory(ctx.backend.row(0), store.block)
         finally:
-            unregister_matrix(sig)
+            unregister_rows(sig)
         fresh = SolverContext.from_problem(problem)
-        assert fresh.dm is not dm
-        assert np.array_equal(fresh.dm.matrix, dm.matrix)
+        assert fresh.backend.materialized == 0
+        assert np.array_equal(fresh.rows_of(fresh.nodes), store.block)
 
 
 class TestRowsBroadcast:

@@ -1,13 +1,13 @@
-"""Tier-aware resilience: dense and lazy contexts agree through the stack.
+"""Resilience at scale: primed and on-demand rows agree through the stack.
 
-The tentpole guarantee of the scale-resilience work is that every layer of
-the robustness subsystem — degraded-context derivation, recovery, timeline
-replay, cluster-local re-optimization — produces *bit-identical* results
-whether the threaded :class:`~repro.core.context.SolverContext` sits on the
-dense all-pairs matrix or on a :class:`~repro.graph.backends.LazyRowBackend`.
-These tests sweep the embedded mid-size topologies (the largest graphs
-where both tiers are cheap enough to build side by side) and finish with a
-reduced-scale chaos smoke on a generated hierarchy.
+Every layer of the robustness subsystem — degraded-context derivation,
+recovery, timeline replay, cluster-local re-optimization — must produce
+*bit-identical* results whether the threaded
+:class:`~repro.core.context.SolverContext` starts with every distance row
+materialized (``"dense"``: the all-pairs matrix, row by row) or computes
+rows only when consulted (``"lazy"``).  These tests sweep the embedded
+mid-size topologies (the largest graphs where priming every row is cheap)
+and finish with a reduced-scale chaos smoke on a generated hierarchy.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.core.context import SolverContext
 from repro.graph import CacheNetwork, abovenet, abvt, deltacom, tinet
-from repro.graph.backends import DenseBackend, LazyRowBackend
+from repro.graph.backends import LazyRowBackend
 from repro.robustness import (
     FailureScenario,
     InvariantChecker,
@@ -42,6 +42,7 @@ from repro.robustness import (
     timeline_from_scenario,
 )
 from repro.robustness.chaos import random_placement
+from tests.oracles.dense import build_distance_matrix
 
 TOPOLOGIES = [abovenet, abvt, tinet, deltacom]
 
@@ -70,6 +71,14 @@ def sample_link_scenario(problem, seed: int = 0) -> FailureScenario:
     return FailureScenario(f"link:{u}-{v}", (LinkFailure(u, v),))
 
 
+def tier_context(problem, tier: str) -> SolverContext:
+    """``"dense"``: every row primed up front; ``"lazy"``: rows on demand."""
+    ctx = SolverContext.from_problem(problem)
+    if tier == "dense":
+        ctx.prime_rows(ctx.nodes)
+    return ctx
+
+
 def assert_lazy_rows_match_dense(lazy_ctx, dense_ctx) -> None:
     assert lazy_ctx.backend.nodes == dense_ctx.backend.nodes
     n = len(dense_ctx.backend.nodes)
@@ -81,24 +90,26 @@ class TestDegradedContextTiers:
     @pytest.mark.parametrize("factory", TOPOLOGIES)
     def test_lazy_derived_matches_dense_and_fresh(self, factory):
         problem = midsize_problem(factory)
-        dense_parent = SolverContext.from_problem(problem, backend="dense")
-        lazy_parent = SolverContext.from_problem(problem, backend="lazy")
-        assert isinstance(dense_parent.backend, DenseBackend)
-        assert isinstance(lazy_parent.backend, LazyRowBackend)
+        dense_parent = tier_context(problem, "dense")
+        lazy_parent = tier_context(problem, "lazy")
+        assert dense_parent.backend.materialized == len(dense_parent.nodes)
+        assert lazy_parent.backend.materialized == 0
         for seed in range(3):
             scenario = sample_link_scenario(problem, seed=seed)
             degraded = apply_failure(problem, scenario)
             dense_child = degraded_context(dense_parent, degraded)
             lazy_child = degraded_context(lazy_parent, degraded)
             assert isinstance(lazy_child.backend, LazyRowBackend)
-            # lazy-derived == dense-derived == fresh lazy build, bit for bit
+            # lazy-derived == dense-derived == fresh build == oracle, bit for bit
             assert_lazy_rows_match_dense(lazy_child, dense_child)
-            fresh = SolverContext.from_problem(degraded.problem, backend="lazy")
+            fresh = SolverContext.from_problem(degraded.problem)
             assert_lazy_rows_match_dense(lazy_child, fresh)
+            oracle = build_distance_matrix(degraded.problem.network.graph)
+            assert np.array_equal(lazy_child.rows_of(lazy_child.nodes), oracle.matrix)
 
     def test_capacity_only_failure_shares_backend(self):
         problem = midsize_problem(tinet)
-        parent = SolverContext.from_problem(problem, backend="lazy")
+        parent = SolverContext.from_problem(problem)
         from repro.robustness import CapacityDegradation
 
         scenario = FailureScenario("cap", (CapacityDegradation(factor=0.5),))
@@ -117,7 +128,7 @@ class TestRecoverParity:
         degraded = apply_failure(problem, scenario)
         results = {}
         for tier in ("dense", "lazy"):
-            parent = SolverContext.from_problem(problem, backend=tier)
+            parent = tier_context(problem, tier)
             ctx = degraded_context(parent, degraded)
             results[tier] = recover(
                 degraded, placement.copy(), repair=False, context=ctx
@@ -143,7 +154,7 @@ class TestTimelineReplayParity:
         policy = RecoveryPolicy(detection_delay=0.1)
         reports = {}
         for tier in ("dense", "lazy"):
-            ctx = SolverContext.from_problem(problem, backend=tier)
+            ctx = tier_context(problem, tier)
             reports[tier] = replay_timeline(
                 problem, placement.copy(), timeline, policy, context=ctx
             )
@@ -164,7 +175,7 @@ class TestTimelineReplayParity:
         policy = RecoveryPolicy(detection_delay=0.2)
         reports = {}
         for tier in ("dense", "lazy"):
-            ctx = SolverContext.from_problem(problem, backend=tier)
+            ctx = tier_context(problem, tier)
             reports[tier] = replay_timeline(
                 problem, placement.copy(), timeline, policy, context=ctx
             )
@@ -180,7 +191,7 @@ class TestClusterLocalRecovery:
         partition = partition_graph(problem.network, seed=0)
         scenario = sample_link_scenario(problem, seed=10)
         degraded = apply_failure(problem, scenario)
-        parent = SolverContext.from_problem(problem, backend="lazy")
+        parent = SolverContext.from_problem(problem)
         ctx = degraded_context(parent, degraded)
         touched = touched_clusters(
             partition,
@@ -212,7 +223,7 @@ class TestClusterLocalRecovery:
             seed=13,
         )
         policy = RecoveryPolicy(detection_delay=0.2, min_dwell=2.0, repair=False)
-        ctx = SolverContext.from_problem(problem, backend="lazy")
+        ctx = SolverContext.from_problem(problem)
         partition = partition_graph(problem.network, seed=0)
         checker = InvariantChecker(strict=True)
         report = replay_timeline(
