@@ -15,9 +15,10 @@ O(|V|²) wall") and are written to one ``BENCH_scale_decomposition.json``:
    the largest hierarchy.  Gate: it completes, the composed solution is
    feasible, and the cost is finite.
 3. **Optimality gap** — on mid-size topologies where the exact Algorithm 1
-   is still tractable, the decomposed cost stays within the documented
-   bound (≤ 20% above exact; often *below*, since Algorithm 1 is itself
-   (1 - 1/e)-approximate).
+   is still tractable, the decomposed cost of the bench's instances stays
+   within 20% above exact (often *below*, since Algorithm 1 is itself
+   (1 - 1/e)-approximate).  This is a gate on these instances, not a
+   general bound: DESIGN.md §5.10 lists seeded instances up to +97%.
 
 ``SCALE_BENCH_SIZES`` (comma-separated node counts, default
 ``1000,5000,10000``) reduces the sweep for CI smoke runs: the gates then
@@ -48,7 +49,8 @@ from repro.graph import (
 from repro.experiments import format_sweep
 from tests.oracles.dense import build_distance_matrix
 
-#: Documented decomposition bound (also asserted in tests/core/test_decomposed.py).
+#: Gap gate on the bench's instances (tests/core/test_decomposed.py asserts
+#: the same threshold on one instance); not a general bound, see DESIGN.md §5.10.
 GAP_BOUND = 0.20
 #: Acceptance: lazy peak memory below this fraction of the dense peak.
 LAZY_PEAK_FRACTION = 0.10

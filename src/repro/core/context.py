@@ -16,7 +16,8 @@ materializes them once per instance:
 - precomputed per-request baseline serving costs over pinned holders;
 - an edge-cost dict for O(1) link-cost lookups (serving-path suffix sums);
 - a lazy :class:`~repro.core.rnr.PredecessorPathCache` for actual path
-  reconstruction, sharing the backend's CSR adjacency.
+  reconstruction, reading the predecessor trees the backend records with
+  its rows.
 
 The context is an optional argument everywhere (``context=None`` keeps the
 dict-based fallback), so callers can cross-check both paths.  Solver code
@@ -248,9 +249,9 @@ class SolverContext:
 
     @property
     def path_oracle(self) -> PredecessorPathCache:
-        """Lazy predecessor-tree path oracle over the backend's CSR."""
+        """Lazy path oracle over the backend's predecessor trees."""
         if self._path_oracle is None:
-            self._path_oracle = PredecessorPathCache(self.backend.csgraph, self.nodes)
+            self._path_oracle = PredecessorPathCache(self.backend)
         return self._path_oracle
 
     def link_cost(self, u: Node, v: Node) -> float:

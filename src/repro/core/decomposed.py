@@ -62,10 +62,12 @@ from repro.graph.network import CAPACITY, COST, CacheNetwork
 __all__ = [
     "ClusterPartition",
     "ClusterReport",
+    "ClusterScan",
     "DecomposedResult",
     "DecompositionGap",
     "partition_graph",
     "super_topology",
+    "scan_clusters",
     "cluster_subproblem",
     "decomposed_solve",
     "decomposition_gap",
@@ -236,18 +238,45 @@ def super_topology(network: CacheNetwork, partition: ClusterPartition) -> CacheN
     return CacheNetwork(quotient, caps)
 
 
-def _boundary_nodes(
-    graph: nx.DiGraph, partition: ClusterPartition, cid: int
-) -> list[Node]:
-    """Cluster members with at least one link crossing the cluster edge."""
-    out = set()
-    for u, v in graph.edges:
-        cu, cv = partition.labels[u], partition.labels[v]
-        if cu == cid and cv != cid:
-            out.add(u)
-        elif cv == cid and cu != cid:
-            out.add(v)
-    return sorted(out, key=repr)
+@dataclass(frozen=True)
+class ClusterScan:
+    """What stitching one cluster reads from the graph's links."""
+
+    #: Intra-cluster links as ``(u, v, {COST: ..., CAPACITY: ...})``, in
+    #: graph edge order.
+    edges: list[tuple[Node, Node, dict]]
+    #: Members with at least one link crossing the cluster edge, by ``repr``.
+    boundary: list[Node]
+
+
+def scan_clusters(
+    graph: nx.DiGraph, partition: ClusterPartition, cluster_ids
+) -> dict[int, ClusterScan]:
+    """One pass over ``graph``'s links for every cluster in ``cluster_ids``.
+
+    Every node of ``graph`` must carry a label in ``partition`` (restrict a
+    healthy partition to a degraded graph first, see
+    :func:`restrict_partition`).
+    """
+    labels = partition.labels
+    edges: dict[int, list] = {cid: [] for cid in cluster_ids}
+    boundary: dict[int, set] = {cid: set() for cid in edges}
+    for u, v, data in graph.edges(data=True):
+        cu, cv = labels[u], labels[v]
+        if cu == cv:
+            if cu in edges:
+                cost = float(data.get(COST, 1.0))
+                cap = float(data.get(CAPACITY, math.inf))
+                edges[cu].append((u, v, {COST: cost, CAPACITY: cap}))
+            continue
+        if cu in boundary:
+            boundary[cu].add(u)
+        if cv in boundary:
+            boundary[cv].add(v)
+    return {
+        cid: ClusterScan(edges=edges[cid], boundary=sorted(boundary[cid], key=repr))
+        for cid in edges
+    }
 
 
 def cluster_subproblem(
@@ -256,6 +285,7 @@ def cluster_subproblem(
     cid: int,
     holder_rows: dict[Node, np.ndarray],
     node_index: dict[Node, int],
+    scan: ClusterScan | None = None,
 ) -> ProblemInstance | None:
     """The sub-instance of one cluster, stitched at its boundary.
 
@@ -263,7 +293,10 @@ def cluster_subproblem(
     full-graph distance row (``holder_rows[h][node_index[b]]`` is the true
     least cost ``h -> b``); external holders of an item become one virtual
     origin node pinned with the item and wired onto every boundary node at
-    that true cost.  Returns ``None`` when the cluster hosts no demand.
+    that true cost.  ``scan`` is the cluster's entry of
+    :func:`scan_clusters` over ``problem``'s graph; callers stitching many
+    clusters scan once for all of them, and without it the cluster is
+    scanned alone.  Returns ``None`` when the cluster hosts no demand.
     """
     members = partition.clusters[cid]
     member_set = set(members)
@@ -275,24 +308,15 @@ def cluster_subproblem(
     items = sorted({i for (i, _s) in demand}, key=repr)
     item_set = set(items)
 
-    graph = problem.network.graph
+    if scan is None:
+        scan = scan_clusters(problem.network.graph, partition, (cid,))[cid]
     sub = nx.DiGraph()
     sub.add_nodes_from(members)
-    for u, v, data in graph.edges(data=True):
-        if u in member_set and v in member_set:
-            sub.add_edge(
-                u,
-                v,
-                **{
-                    COST: float(data.get(COST, 1.0)),
-                    CAPACITY: float(data.get(CAPACITY, math.inf)),
-                },
-            )
+    sub.add_edges_from(scan.edges)
 
     pinned = {
         (v, i) for (v, i) in problem.pinned if v in member_set and i in item_set
     }
-    boundary = _boundary_nodes(graph, partition, cid)
     for item in items:
         external = sorted(
             # ``h in holder_rows`` guards against holders that are not on
@@ -310,7 +334,7 @@ def cluster_subproblem(
         rows = [holder_rows[h] for h in external]
         origin = _origin_node(item)
         attached = False
-        for b in boundary:
+        for b in scan.boundary:
             j = node_index[b]
             cost = min(float(row[j]) for row in rows)
             if math.isfinite(cost):
@@ -423,9 +447,12 @@ def decomposed_solve(
     )
     holder_rows = {h: row_block[k] for k, h in enumerate(holders)}
 
+    scans = scan_clusters(graph, partition, range(partition.n_clusters))
     payloads = []
     for cid in range(partition.n_clusters):
-        sub = cluster_subproblem(problem, partition, cid, holder_rows, node_index)
+        sub = cluster_subproblem(
+            problem, partition, cid, holder_rows, node_index, scans[cid]
+        )
         if sub is not None:
             payloads.append((cid, sub, polish))
 
@@ -650,10 +677,13 @@ def resolve_clusters(
         )
     holder_rows = {h: row_block[k] for k, h in enumerate(holders)}
 
+    scans = scan_clusters(graph, part, wanted)
     preserved: set = set()
     payloads = []
     for cid in wanted:
-        sub = cluster_subproblem(problem, part, cid, holder_rows, node_index)
+        sub = cluster_subproblem(
+            problem, part, cid, holder_rows, node_index, scans[cid]
+        )
         if sub is None:
             # No local demand — but the cluster's replicas may still serve
             # other clusters through the global routing pass, so keep them.

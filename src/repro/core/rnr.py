@@ -27,6 +27,7 @@ from repro.graph.shortest_paths import reconstruct_path, single_source_dijkstra
 
 if TYPE_CHECKING:  # avoid a module cycle; context imports PredecessorPathCache
     from repro.core.context import SolverContext
+    from repro.graph.backends import LazyRowBackend
 
 Node = Hashable
 
@@ -61,36 +62,46 @@ class PredecessorPathCache:
 
     Context RNR only needs actual node paths for holders that serve flow,
     and a failure sweep asks for paths out of many sources on many degraded
-    graphs.  This oracle runs one
-    ``scipy.sparse.csgraph.dijkstra(..., return_predecessors=True)`` per
-    serving source (memoized) and backtracks the predecessor array, which is
-    far cheaper than a pure-python Dijkstra per source.  ``csgraph`` is the
-    CSR adjacency of a :class:`~repro.graph.backends.LazyRowBackend` over
-    ``nodes`` — the context shares its backend's, so no second copy is built.
+    graphs.  The trees come from ``backend``, a
+    :class:`~repro.graph.backends.LazyRowBackend`, which records one with
+    every row it sweeps (:meth:`~repro.graph.backends.LazyRowBackend.ensure_rows`),
+    so a serving holder costs one Dijkstra, not two.  Only a source whose
+    row the backend did not sweep itself — carried by
+    :meth:`~repro.graph.backends.LazyRowBackend.repair` or loaded from a
+    :class:`~repro.graph.backends.RowStore` — gets its own memoized
+    ``scipy.sparse.csgraph.dijkstra(..., return_predecessors=True)`` over
+    the backend's CSR.  Either tree is the one a fresh sweep of the source
+    gives, so the paths do not depend on where the tree came from.
     """
 
-    def __init__(self, csgraph, nodes: tuple[Node, ...]) -> None:
-        self._nodes = nodes
-        self._csgraph = csgraph
+    def __init__(self, backend: "LazyRowBackend") -> None:
+        self._backend = backend
+        self._nodes = backend.nodes
         self._pred: dict[int, np.ndarray] = {}
         self._paths: dict[tuple[int, int], tuple[Node, ...]] = {}
+
+    def _tree(self, source: int) -> np.ndarray:
+        pred = self._backend.tree(source)
+        if pred is None:
+            pred = self._pred.get(source)
+        if pred is None:
+            from scipy.sparse.csgraph import dijkstra
+
+            _, pred = dijkstra(
+                self._backend.csgraph,
+                directed=True,
+                indices=source,
+                return_predecessors=True,
+            )
+            self._pred[source] = pred
+        return pred
 
     def path_by_index(self, source: int, target: int) -> tuple[Node, ...]:
         """Shortest ``nodes[source] -> nodes[target]`` path as node labels."""
         cached = self._paths.get((source, target))
         if cached is not None:
             return cached
-        pred = self._pred.get(source)
-        if pred is None:
-            from scipy.sparse.csgraph import dijkstra
-
-            _, pred = dijkstra(
-                self._csgraph,
-                directed=True,
-                indices=source,
-                return_predecessors=True,
-            )
-            self._pred[source] = pred
+        pred = self._tree(source)
         hops = [target]
         j = target
         while j != source:
@@ -117,11 +128,12 @@ def route_to_nearest_replica(
 ) -> Routing:
     """RNR routing for every request under the given placement.
 
-    With a :class:`~repro.core.context.SolverContext`, holder distances come
-    from the context's distance rows (no Dijkstra per holder lookup) and
-    paths are reconstructed from memoized scipy predecessor trees
+    With a :class:`~repro.core.context.SolverContext`, every holder's
+    distance row and predecessor tree come from one batched sweep of the
+    context's backend, and paths are backtracked from those trees
     (:class:`PredecessorPathCache`), so serving costs are unchanged while a
-    failure sweep stops paying a pure-python Dijkstra per serving holder.
+    failure sweep pays one scipy Dijkstra per holder instead of a
+    pure-python one per serving holder.
 
     ``on_unservable`` controls what happens when a request cannot be fully
     covered by reachable holders (including pinned contents):
@@ -199,7 +211,8 @@ def _route_with_context(
     the take/remaining arithmetic runs on the same python floats.  Only the
     path *reconstruction* backend differs — scipy predecessor trees instead
     of per-source pure-python Dijkstra — which can pick a different (equal
-    cost) shortest path under ties.
+    cost) shortest path under ties.  Every holder's row and tree are
+    materialized up front in one batched ``ensure_rows`` sweep.
     """
     nidx = context.node_index
     oracle = context.path_oracle
@@ -212,11 +225,17 @@ def _route_with_context(
     item_requesters: dict = {}
     for item, requester in problem.demand:
         item_requesters.setdefault(item, []).append(requester)
+    item_fractions = {
+        item: _holder_fractions(problem, placement, item) for item in item_requesters
+    }
+    context.backend.ensure_rows(
+        nidx[h] for fractions in item_fractions.values() for h in fractions
+    )
     per_item: dict = {}
     for (item, requester), _rate in problem.demand.items():
         entry = per_item.get(item)
         if entry is None:
-            fractions = _holder_fractions(problem, placement, item)
+            fractions = item_fractions[item]
             holders = sorted(fractions, key=repr)
             hidx = np.fromiter(
                 (nidx[h] for h in holders), dtype=np.intp, count=len(holders)

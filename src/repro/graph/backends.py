@@ -18,9 +18,14 @@ and attached zero-copy by pool workers — workers start with the scope rows
 mapped read-only and fall back to local computation only for rows outside
 the store.
 
+Every row the backend sweeps comes with its Dijkstra predecessor tree,
+from the same batched call; path reconstruction
+(:class:`repro.core.rnr.PredecessorPathCache`) reads it instead of sweeping
+the source a second time.
+
 After link or node failures, :meth:`LazyRowBackend.repair` derives the
 degraded graph's backend, carrying every memoized row the removals cannot
-have touched; the others recompute on demand.
+have touched (never a tree); the others recompute on demand.
 
 ``w_max`` (the paper's bound on pairwise costs) deserves a note: it is
 reproduced *exactly* by streaming the full Dijkstra sweep in bounded-memory
@@ -50,7 +55,8 @@ __all__ = [
     "RowStore",
 ]
 
-#: Rows per chunk of the streamed ``w_max`` sweep (memory = chunk * |V| * 8).
+#: Rows per chunk of the streamed ``w_max`` sweep (memory = chunk * |V| * 12:
+#: float64 rows plus their int32 predecessor trees).
 _WMAX_CHUNK = 256
 
 
@@ -162,6 +168,8 @@ class LazyRowBackend:
         self.csgraph = csgraph
         self._weight = weight
         self._rows: dict[int, np.ndarray] = {}
+        #: Predecessor trees of the rows this backend swept itself.
+        self._trees: dict[int, np.ndarray] = {}
         self._w_max: float | None = None
 
     def __len__(self) -> int:
@@ -176,22 +184,41 @@ class LazyRowBackend:
     # Row computation
     # ------------------------------------------------------------------
 
-    def _compute_rows(self, sources: np.ndarray) -> np.ndarray:
-        """Fresh rows for ``sources``, one batched Dijkstra sweep."""
-        rows = np.atleast_2d(dijkstra(self.csgraph, directed=True, indices=sources))
+    def _compute_rows(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh rows for ``sources`` and their predecessor trees, one batched
+        Dijkstra sweep."""
+        rows, trees = dijkstra(
+            self.csgraph, directed=True, indices=sources, return_predecessors=True
+        )
+        rows = np.atleast_2d(rows)
         rows[np.arange(len(sources)), sources] = 0.0
-        return rows
+        return rows, np.atleast_2d(trees)
 
     def ensure_rows(self, idx: Iterable[int]) -> None:
-        """Materialize any missing rows in one batched sweep."""
+        """Materialize any missing rows, with their predecessor trees, in one
+        batched sweep.
+
+        The trees cost one int32 array per row and no second Dijkstra: scipy
+        records them while it settles each source, and they equal the trees
+        of single-source calls over the same CSR.  :meth:`tree` serves them.
+        """
         missing = sorted({int(i) for i in idx} - self._rows.keys())
         if not missing:
             return
-        computed = self._compute_rows(np.asarray(missing, dtype=np.intp))
+        rows, trees = self._compute_rows(np.asarray(missing, dtype=np.intp))
         for k, i in enumerate(missing):
-            row = computed[k]
+            row, tree = rows[k], trees[k]
             row.setflags(write=False)
+            tree.setflags(write=False)
             self._rows[i] = row
+            self._trees[i] = tree
+
+    def tree(self, i: int) -> np.ndarray | None:
+        """Predecessor tree of source ``i`` (scipy convention, ``-9999`` at
+        the source and at unreachable nodes), or ``None`` when this backend
+        did not sweep the row itself (carried by :meth:`repair` or loaded
+        from a :class:`RowStore`)."""
+        return self._trees.get(int(i))
 
     def row(self, i: int) -> np.ndarray:
         i = int(i)
@@ -246,7 +273,7 @@ class LazyRowBackend:
                     if finite.size:
                         top = max(top, float(finite.max()))
                 if fresh.size:
-                    rows = self._compute_rows(fresh)
+                    rows, _ = self._compute_rows(fresh)
                     finite = rows[np.isfinite(rows)]
                     if finite.size:
                         top = max(top, float(finite.max()))
@@ -288,7 +315,10 @@ class LazyRowBackend:
         fresh build makes, without iterating the degraded graph's edges),
         and no Dijkstra runs here.  ``w_max`` is not carried (the parent's
         value may hinge on removed elements); the child re-streams it on
-        first read.
+        first read.  No predecessor tree is carried either: a removed edge
+        that is not tight leaves the distances unchanged but can still
+        change the order in which Dijkstra settles equal-cost ties, so a
+        carried tree might differ from a fresh one.
 
         Raises
         ------

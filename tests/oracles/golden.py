@@ -11,7 +11,13 @@ tier must reproduce every value exactly:
 - a Deltacom ``survivability_report`` over 40 single-link failures with
   repair, on derived degraded contexts;
 - one Algorithm 1 solve (cost, LP objective, ``w_max`` and the integral
-  placement) on a Deltacom 12-item Zipf instance.
+  placement) on a Deltacom 12-item Zipf instance;
+- the :class:`~repro.robustness.controller.TimelineReport` of a seeded
+  failure timeline on a 1k-node PoP/core/edge hierarchy replayed with a
+  cluster partition, so every re-optimization runs the cluster-local path
+  (boundary stitching, per-cluster Algorithm 1, RNR over the full graph).
+  This entry was recorded on the lazy tier, before the one-pass stitching
+  and the backend's predecessor trees, which must leave it unchanged.
 
 Values are compared in :func:`canonical` form: floats as ``float.hex``
 strings, dataclasses reduced to their compared fields (the same fields
@@ -32,6 +38,7 @@ import numpy as np
 from repro.core import ProblemInstance, pin_full_catalog
 from repro.core.algorithm1 import algorithm1
 from repro.core.context import SolverContext
+from repro.core.decomposed import partition_graph
 from repro.core.evaluation import routing_cost
 from repro.core.submodular import greedy_rnr_placement
 from repro.experiments import ScenarioConfig, build_scenario
@@ -42,6 +49,7 @@ from repro.robustness import (
     TimelineConfig,
     canonical_links,
     generate_timeline,
+    hierarchy_problem,
     replay_timeline,
     single_link_failures,
     survivability_report,
@@ -172,6 +180,28 @@ def deltacom_algorithm1() -> dict:
     }
 
 
+def hierarchy_timeline_report():
+    """Cluster-local replay of a seeded timeline on a 1k-node hierarchy.
+
+    The reduced-size twin of the ``replay-hier10k`` benchmark workload
+    (same instance shape, placement and policy; ``bench_scale_resilience.py``
+    replays the same timeline at 1k nodes).
+    """
+    problem = hierarchy_problem(
+        1000, n_items=20, n_caches=150, n_requesters=250, seed=0
+    )
+    placement = random_placement(np.random.default_rng(1), problem)
+    timeline = event_timeline(problem, horizon=60.0, target_events=40, seed=1000)
+    return replay_timeline(
+        problem,
+        placement.copy(),
+        timeline,
+        RecoveryPolicy(detection_delay=0.25, min_dwell=6.0, repair=False),
+        context=SolverContext.from_problem(problem),
+        partition=partition_graph(problem.network, seed=0),
+    )
+
+
 def compute_golden() -> dict:
     return {
         "timeline": {
@@ -179,6 +209,7 @@ def compute_golden() -> dict:
         },
         "survivability": canonical(deltacom_survivability()),
         "algorithm1": canonical(deltacom_algorithm1()),
+        "hierarchy1k": canonical(hierarchy_timeline_report()),
     }
 
 

@@ -2,7 +2,9 @@
 
 The recordings in ``tests/oracles/golden_parity.json`` come from the dense
 all-pairs tier these instances used to run on; the lazy row backend must
-reproduce each one bit-for-bit (see :mod:`tests.oracles.golden`).
+reproduce each one bit-for-bit (see :mod:`tests.oracles.golden`).  The
+1k-node hierarchy entry pins the cluster-local re-optimization path
+(one-pass boundary stitching, backend predecessor trees) the same way.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from tests.oracles.golden import (
     canonical,
     deltacom_algorithm1,
     deltacom_survivability,
+    hierarchy_timeline_report,
     load_golden,
     timeline_report,
 )
@@ -33,3 +36,7 @@ def test_deltacom_survivability_matches_golden(golden):
 
 def test_deltacom_algorithm1_matches_golden(golden):
     assert canonical(deltacom_algorithm1()) == golden["algorithm1"]
+
+
+def test_hierarchy_cluster_local_replay_matches_golden(golden):
+    assert canonical(hierarchy_timeline_report()) == golden["hierarchy1k"]
